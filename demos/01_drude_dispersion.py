@@ -10,7 +10,7 @@ difference and plots across the optical band.
 
 import numpy as np
 
-from qnmlab import DrudeModel, eps_at, sigma_dispersion
+from qnmlab import DrudeModel
 
 mat = DrudeModel(omega_p=1.26e16, gamma_d=7e13)
 
@@ -20,8 +20,8 @@ mat = DrudeModel(omega_p=1.26e16, gamma_d=7e13)
 
 band_thz = np.linspace(150, 700, 120)
 omega = 2 * np.pi * band_thz * 1e12
-eps = eps_at(mat, omega)
-print(f"eps at 415.9 THz: {eps_at(mat, 2 * np.pi * 415.863e12):.3f}")
+eps = mat.eps(omega)
+print(f"eps at 415.9 THz: {mat.eps(2 * np.pi * 415.863e12):.3f}")
 assert np.all(eps.imag > 0)
 
 ##############################################################################
@@ -29,10 +29,10 @@ assert np.all(eps.imag > 0)
 # compared against a central finite difference of eps * w^2.
 
 omega_t = 2 * np.pi * (415.863e12 - 1j * 37.176e12)
-sig = sigma_dispersion(mat, omega_t)
+sig = mat.sigma(omega_t)
 step = 1e9
-fd = ((eps_at(mat, omega_t + step) * (omega_t + step) ** 2
-       - eps_at(mat, omega_t - step) * (omega_t - step) ** 2)
+fd = ((mat.eps(omega_t + step) * (omega_t + step) ** 2
+       - mat.eps(omega_t - step) * (omega_t - step) ** 2)
       / (2 * step) / (2 * omega_t))
 print(f"sigma(omega_tilde) analytic: {sig:.6f}")
 print(f"sigma(omega_tilde) finite difference: {fd:.6f}")

@@ -16,9 +16,6 @@ from .core import (
     QnmError,
     Rod2D,
     SurfacePlane,
-    delta_eps,
-    eps_at,
-    sigma_dispersion,
 )
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "QnmError",
     "Rod2D",
     "SurfacePlane",
-    "delta_eps",
-    "eps_at",
-    "sigma_dispersion",
 ]
 
 __version__ = "0.1.0"

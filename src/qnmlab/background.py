@@ -21,7 +21,7 @@ import numpy as np
 from scipy.constants import c as C0
 from scipy.special import hankel1
 
-from .core import Background, DomainError, eps_at
+from .core import Background, DomainError
 
 __all__ = [
     "green_b_2d",
@@ -108,7 +108,7 @@ def im_green_b_diag(omega, bg: Background, dim):
 
 def image_strength(material, bg: Background, omega):
     """Quasi-static image amplitude ``(eps(w) - eps_b) / (2 (eps(w) + eps_b))``."""
-    e = eps_at(material, omega)
+    e = material.eps(omega)
     return (e - bg.eps_b) / (2.0 * (e + bg.eps_b))
 
 

@@ -40,6 +40,7 @@ from .normalize import (
 )
 from .observables import (
     born_green_model,
+    distance_scan,
     far_green_model,
     mode_green_model,
     out_green_model,
@@ -154,10 +155,10 @@ def stage_modevol(cfg: RunConfig, outdir):
         raise QnmError("mode is not normalized; run 'qnm normalize' first")
     scan = norm_scan(mode, cfg.material, cfg.bg, cfg.norm_clearances)
     mv = mode_volume(mode, cfg.bg)
+    ff0 = np.sum(mode.value_at([mv.r0])[0] ** 2)
     rows = []
     for b in scan:
         # running V_eff: normalize against this clearance's total
-        ff0 = np.sum(mode.value_at([mv.r0])[0] ** 2)
         v_q = b.total / (cfg.bg.eps_b * ff0)
         v_run = 1.0 / np.real(1.0 / v_q)
         rows.append((b.domain_half_width * 1e9,
@@ -190,6 +191,12 @@ def _build_models(cfg, mode):
         "far+born": lambda: born_green_model(reg),
     }
     return [table[name]() for name in cfg.variants]
+
+
+def _columns(cfg, models):
+    """Column suffixes in CSV order: one per model, the oracle last."""
+    return [m.name for m in models] \
+        + (["oracle"] if cfg.oracle_enabled else [])
 
 
 def oracle_grid(cfg: RunConfig, positions, margin=0.35e-6):
@@ -240,7 +247,6 @@ def stage_se(cfg: RunConfig, outdir, threads=1):
     r_a, n_a = cfg.dipoles[0]
     ws = freq.omega + np.linspace(-1, 1, cfg.spectrum_points) \
         * cfg.spectrum_half_gammas * freq.gamma
-    rows = []
     oracle_cols = cfg.oracle_enabled
 
     def one_freq(i_w):
@@ -253,26 +259,22 @@ def stage_se(cfg: RunConfig, outdir, threads=1):
         return vals
 
     results = parallel_map(one_freq, list(enumerate(ws)), threads)
-    for w, vals in zip(ws, results):
-        rows.append((w / (2 * np.pi * 1e12), *vals))
-    header = ["omega_thz"] + [f"f_a_{m.name}" for m in models] \
-        + (["f_a_oracle"] if oracle_cols else [])
-    write_csv(os.path.join(outdir, "spectrum.csv"), header, rows)
+    rows = [(w / (2 * np.pi * 1e12), *vals) for w, vals in zip(ws, results)]
+    columns = _columns(cfg, models)
+    write_csv(os.path.join(outdir, "spectrum.csv"),
+              ["omega_thz"] + [f"f_a_{c}" for c in columns], rows)
 
     if cfg.scan_standoffs:
-        path = _scan_path(cfg)
         n_scan = cfg.scan_orientation
-        rows = []
-        for i, (s, p) in enumerate(zip(cfg.scan_standoffs, path)):
-            vals = [se_enhancement(m, p, n_scan, freq.omega) for m in models]
-            if oracle_cols and i in cfg.oracle_scan_checkpoints:
-                vals.append(oracle_se(cfg, p, n_scan, freq.omega))
-            elif oracle_cols:
-                vals.append(float("nan"))
-            rows.append((s * 1e9, *vals))
+        oracle = (lambda p: oracle_se(cfg, p, n_scan, freq.omega)) \
+            if oracle_cols else None
+        records = distance_scan(models, _scan_path(cfg), n_scan, freq.omega,
+                                oracle=oracle,
+                                oracle_checkpoints=cfg.oracle_scan_checkpoints)
+        rows = [(s * 1e9, *(rec.f_a[c] for c in columns))
+                for s, rec in zip(cfg.scan_standoffs, records)]
         write_csv(os.path.join(outdir, "distance.csv"),
-                  ["standoff_nm"] + [f"f_a_{m.name}" for m in models]
-                  + (["f_a_oracle"] if oracle_cols else []), rows)
+                  ["standoff_nm"] + [f"f_a_{c}" for c in columns], rows)
 
 
 def _write_zero_contrast(cfg, outdir):
@@ -314,8 +316,8 @@ def stage_propagate(cfg: RunConfig, outdir):
             vals.append(oracle_vals.get(i, float("nan")))
         rows.append((r_b[0] * 1e9, r_b[1] * 1e9, *vals))
     write_csv(os.path.join(outdir, "propagator.csv"),
-              ["x_nm", "y_nm"] + [f"prop_{m.name}" for m in models]
-              + (["prop_oracle"] if cfg.oracle_enabled else []), rows)
+              ["x_nm", "y_nm"] + [f"prop_{c}" for c in _columns(cfg, models)],
+              rows)
 
 
 def _oracle_propagator(cfg, r_a, omega, checkpoints):
@@ -348,34 +350,43 @@ def _oracle_propagator(cfg, r_a, omega, checkpoints):
 
 
 def stage_validate(cfg: RunConfig, outdir):
-    """Compare the far model against the full-wave oracle on resonance."""
+    """Compare the far model against the full-wave oracle on resonance.
+
+    With the oracle off, or no checkpoint on the scan path, nothing is
+    compared: ``oracle_checks`` is empty and ``tolerances_met`` is null,
+    never a pass.
+    """
     if cfg.zero_contrast:
         return
-    mode = _load_normalized(outdir)
-    reg = RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg)
-    far = far_green_model(reg)
-    omega = mode.frequency.omega
-    checks = {}
     path = _scan_path(cfg)
-    for i in cfg.oracle_scan_checkpoints:
-        if i >= len(path):
-            continue
-        p = path[i]
-        f_model = se_enhancement(far, p, cfg.scan_orientation, omega)
-        f_oracle = oracle_se(cfg, p, cfg.scan_orientation, omega)
-        rel = abs(f_model - f_oracle) / abs(f_oracle)
-        checks[f"standoff_{cfg.scan_standoffs[i] * 1e9:.3g}nm"] = {
-            "far_model": f_model, "oracle": f_oracle, "rel_diff": rel,
-            "within_10pct": bool(rel < 0.10),
-        }
-    report = _update_report(outdir, {"oracle_checks": checks})
-    ok = all(c["within_10pct"] for c in checks.values()) if checks else True
-    _update_report(outdir, {"tolerances_met": ok})
-    return report
+    checkpoints = cfg.oracle_scan_checkpoints if cfg.oracle_enabled else []
+    points = [i for i in checkpoints if i < len(path)]
+    checks = {}
+    if points:
+        mode = _load_normalized(outdir)
+        far = far_green_model(
+            RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg))
+        omega = mode.frequency.omega
+        for i in points:
+            p = path[i]
+            f_model = se_enhancement(far, p, cfg.scan_orientation, omega)
+            f_oracle = oracle_se(cfg, p, cfg.scan_orientation, omega)
+            rel = abs(f_model - f_oracle) / abs(f_oracle)
+            checks[f"standoff_{cfg.scan_standoffs[i] * 1e9:.3g}nm"] = {
+                "far_model": f_model, "oracle": f_oracle, "rel_diff": rel,
+                "within_10pct": bool(rel < 0.10),
+            }
+    ok = all(c["within_10pct"] for c in checks.values()) if checks else None
+    return _update_report(outdir, {"oracle_checks": checks,
+                                   "tolerances_met": ok})
 
 
 def run_pipeline(cfg: RunConfig, outdir, threads=1, resolution_override=None):
     os.makedirs(outdir, exist_ok=True)
+    # every run rebuilds its report; the stages add to it
+    report = os.path.join(outdir, REPORT_FILE)
+    if os.path.exists(report):
+        os.remove(report)
     if cfg.zero_contrast:
         _write_zero_contrast(cfg, outdir)
         return

@@ -126,16 +126,6 @@ class ConstantMaterial:
         return self.eps(omega)
 
 
-def eps_at(material, omega):
-    """Relative permittivity ``eps(omega)``; supports complex omega."""
-    return material.eps(omega)
-
-
-def sigma_dispersion(material, omega):
-    """Dispersion factor ``sigma(omega) = (1/2 omega) d(eps omega^2)/d omega``."""
-    return material.sigma(omega)
-
-
 @dataclass(frozen=True)
 class Background:
     """Homogeneous, lossless background with refractive index ``n_b``."""
@@ -288,14 +278,6 @@ class HalfSpace:
         return self.surface
 
 
-def delta_eps(geometry, material, bg, omega, points):
-    """Permittivity contrast map: ``eps_mnp(omega) - eps_b`` inside, else 0."""
-    mask = geometry.inside(points)
-    out = np.zeros(mask.shape, dtype=complex)
-    out[mask] = eps_at(material, omega) - bg.eps_b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grid description
 
@@ -313,6 +295,24 @@ def lattice_coords(lo, hi, n, h, offset):
         half_cells = round((hi - lo) / h) / 2.0
         return (np.arange(n) + offset - half_cells) * h
     return lo + (np.arange(n) + offset) * h
+
+
+def interior_fraction(inside, pts, h):
+    """Share of four probes, offset by 1e-6 h along +-x and +-y from the
+    node positions ``pts`` (..., 2), that lie inside: 1 inside, 0 outside.
+    A node exactly on a face gets 1/4, not the two-sided 1/2, because its
+    two tangential probes stay on the boundary, which ``inside`` counts as
+    outside.
+
+    This is the one rule for the permittivity at interface nodes: the
+    discrete operator weights its contrast with it, and the regularized
+    field weights the mode's polarization current with it.
+    """
+    d = 1e-6 * h
+    frac = np.zeros(pts.shape[:-1])
+    for off in ((d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)):
+        frac += inside(pts + np.asarray(off))
+    return frac / 4.0
 
 
 @dataclass(frozen=True)

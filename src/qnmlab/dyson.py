@@ -1,29 +1,21 @@
-"""Regularized mode fields and composed Green-function approximations.
+"""The regularized mode field F(r, w) and the first-order Born term.
 
 A quasinormal mode diverges far from the resonator, so propagating it with
-the bare single-mode Green function
-
-    G^f(r1, r2; w) = w^2 / (2 w_t (w_t - w)) f(r1) f(r2)
-
-fails beyond the caustic radius.  Convolving the mode with the background
-dyadic over the resonator cross-section,
+the bare single-mode Green function fails beyond the caustic radius.
+Convolving the mode with the background dyadic over the resonator
+cross-section,
 
     F(r, w) = Int_V G^B(r, r'; w) . (eps(w) - eps_b) f(r') dA',
 
 yields a field with the same near profile that decays like a radiating
-source, and the far-corrected Green function
-
-    G^far = G^B + w^2 / (2 w_t (w_t - w)) F(r1, w) F(r2, w).
-
-Within a few nanometers of the metal the quasi-static image term takes over
-and is simply added on top:  G^out = G^far + G^qs, with the mirror plane
-taken at the surface point nearest the observation point and the image of
-the source point.  The first-order scattering correction
+source.  The first-order scattering correction
 
     G1^back(r1, r2; w) = Int_V G^B(r1, r') . (eps - eps_b) G^B(r', r2) dA'
 
-is provided for comparison; it is the perturbative counterpart the image
-term replaces.
+is provided for comparison; it is the perturbative counterpart of the
+quasi-static image term.  The single-mode Green functions built from these
+pieces (G^f, G^far, G^out and far+born) live in :mod:`qnmlab.observables`,
+whose ``GreenModel`` is the package's one Green-function API.
 
 All quadratures ride the same staircased cell map as the normalization, so
 quadrature errors partially cancel in ratios; cells close to an evaluation
@@ -33,17 +25,13 @@ steep 1/R^2 kernel needs below ~10 nm standoffs.
 
 import numpy as np
 
-from .background import green_b_2d, green_qs, im_green_b_diag
-from .core import Background, DomainError, eps_at
+from .background import green_b_2d
+from .core import Background, DomainError, interior_fraction, lattice_coords
 from .solver.modes import ModeField
 
 __all__ = [
     "RegularizedField",
-    "regularized_field",
     "lorentzian_prefactor",
-    "green_f",
-    "green_far",
-    "green_out",
     "green_back_1",
 ]
 
@@ -53,24 +41,6 @@ def lorentzian_prefactor(mode_or_freq, omega):
     freq = getattr(mode_or_freq, "frequency", mode_or_freq)
     wt = freq.omega_tilde
     return omega**2 / (2.0 * wt * (wt - omega))
-
-
-def _resonator_cells(mode: ModeField):
-    xc, yc = mode.grid.cell_centers()
-    pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
-    mask = mode.geometry.inside(pts)
-    return pts[mask]
-
-
-def _boundary_fraction(geometry, pts, h):
-    """Interior fraction at node positions: 1 inside, 0 outside, and the
-    probe-averaged value (1/2 on faces) for nodes exactly on the boundary -
-    the same rule the discrete operator uses for its permittivity map."""
-    d = 1e-6 * h
-    frac = np.zeros(pts.shape[:-1])
-    for off in ((d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d)):
-        frac += geometry.inside(pts + np.asarray(off))
-    return frac / 4.0
 
 
 class RegularizedField:
@@ -102,7 +72,6 @@ class RegularizedField:
         h = grid.h
         (x0, x1), (y0, y1) = grid.extent
         nx, ny = grid.n_cells
-        from .core import lattice_coords
         xi = lattice_coords(x0, x1, nx + 1, h, 0.0)
         xh = lattice_coords(x0, x1, nx, h, 0.5)
         yi = lattice_coords(y0, y1, ny + 1, h, 0.0)
@@ -113,7 +82,7 @@ class RegularizedField:
             1: (xi, yh, mode.ey),
         }.items():
             pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-            frac = _boundary_fraction(geometry, pts, h)
+            frac = interior_fraction(geometry.inside, pts, h)
             sel = frac > 0
             src_pts.append(pts[sel])
             src_amp.append(field[sel] * frac[sel])
@@ -148,7 +117,7 @@ class RegularizedField:
             sub = p + np.stack([sx.ravel(), sy.ravel()], axis=-1)
             g = green_b_2d(r[None, :], sub, omega, self.bg)
             total += g[:, :, comp].mean(axis=0) * amp * area
-        delta_eps = eps_at(self.material, omega) - self.bg.eps_b
+        delta_eps = self.material.eps(omega) - self.bg.eps_b
         return delta_eps * total
 
     def eval(self, points, omega):
@@ -164,51 +133,6 @@ class RegularizedField:
                 self._cache[key] = self._eval_one(r, omega)
             out[i] = self._cache[key]
         return out
-
-
-def regularized_field(mode, geometry, material, bg, omega, points,
-                      **kwargs):
-    """One-shot evaluation of the regularized field at given points."""
-    return RegularizedField(mode, geometry, material, bg,
-                            **kwargs).eval(points, omega)
-
-
-def green_f(mode: ModeField, omega, r1, r2):
-    """Bare single-mode Green function (mode values, outer product)."""
-    if mode.norm_state != "normalized":
-        raise DomainError("green_f expects a normalized mode")
-    v1 = mode.value_at([r1])[0]
-    v2 = mode.value_at([r2])[0]
-    return lorentzian_prefactor(mode, omega) * np.outer(v1, v2)
-
-
-def _background_part(r1, r2, omega, bg):
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    if np.array_equal(r1, r2):
-        # coincident points: only the (finite) imaginary part is defined
-        return 1j * im_green_b_diag(omega, bg, dim=2) * np.eye(2)
-    return green_b_2d(r1, r2, omega, bg)
-
-
-def green_far(reg: RegularizedField, omega, r1, r2):
-    """Background dyadic plus the regularized single-mode term."""
-    f1 = reg.eval([r1], omega)[0]
-    f2 = reg.eval([r2], omega)[0]
-    return _background_part(r1, r2, omega, reg.bg) \
-        + lorentzian_prefactor(reg.mode, omega) * np.outer(f1, f2)
-
-
-def green_out(reg: RegularizedField, omega, r1, r2, surface=None):
-    """Far-corrected Green function plus the quasi-static image term.
-
-    The mirror plane defaults to the tangent plane at the surface point
-    nearest ``r1``; the image is taken of ``r2`` (the source argument).
-    """
-    if surface is None:
-        surface = reg.geometry.nearest_tangent_plane(np.asarray(r1))
-    qs = green_qs(r1, r2, omega, reg.material, reg.bg, surface)
-    return green_far(reg, omega, r1, r2) + qs
 
 
 def green_back_1(geometry, material, bg: Background, omega, r1, r2,
@@ -232,7 +156,7 @@ def green_back_1(geometry, material, bg: Background, omega, r1, r2,
     ys = by0 + (np.arange(ny) + 0.5) * hy
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
     cells = pts[geometry.inside(pts)]
-    delta_eps = eps_at(material, omega) - bg.eps_b
+    delta_eps = material.eps(omega) - bg.eps_b
     area = hx * hy
     total = np.zeros((2, 2), dtype=complex)
     d1 = np.sqrt(np.sum((cells - r1) ** 2, axis=-1))

@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as C0
 
-from .core import (
-    Background,
-    ConvergenceError,
-    DomainError,
-    eps_at,
-    sigma_dispersion,
-)
+from .core import Background, ConvergenceError, DomainError
 from .solver.fdfd import bilinear_sample, curl_cells
 from .solver.modes import ModeField
 
@@ -132,7 +126,7 @@ def inner_product(mode: ModeField, material, bg: Background,
     ff = _colocated_squares(mode)
     pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
     sigma = np.where(mode.geometry.inside(pts),
-                     sigma_dispersion(material, omega_t), bg.eps_b)
+                     material.sigma(omega_t), bg.eps_b)
     rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
     mask = rr < radius
     volume = complex(np.sum(sigma[mask] * ff[mask]) * h * h)
@@ -238,8 +232,8 @@ def sauvan_norm(mode: ModeField, material, bg: Background,
     inside = mode.geometry.inside(pts)
     # d(w eps)/dw = 2 sigma - eps, analytic forms on both media
     deps_dw = np.where(inside,
-                       2.0 * sigma_dispersion(material, omega_t)
-                       - eps_at(material, omega_t),
+                       2.0 * material.sigma(omega_t)
+                       - material.eps(omega_t),
                        bg.eps_b)
     rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
     mask = rr < radius

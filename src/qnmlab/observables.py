@@ -1,5 +1,19 @@
-"""Physical outputs: emission-rate enhancement, Purcell factor, and the
-position/orientation deviation factor.
+"""Single-mode Green functions and the physical outputs built from them:
+emission-rate enhancement, Purcell factor, and the position/orientation
+deviation factor.
+
+``GreenModel`` is the package's one Green-function API.  Each model is the
+background dyadic plus a named scattered part, built on a normalized mode:
+
+    f        G^f   = G^B + w^2 / (2 w_t (w_t - w)) f(r1) f(r2)
+    far      G^far = G^B + w^2 / (2 w_t (w_t - w)) F(r1, w) F(r2, w)
+    out      G^out = G^far + G^qs
+    far+born G^far + G1^back
+
+with F the regularized field and G1^back the first-order Born term of
+:mod:`qnmlab.dyson`.  The quasi-static image term G^qs, which takes over
+within a few nanometers of the metal, mirrors ``r2`` in the tangent plane
+at the surface point nearest ``r1``.
 
 The relative spontaneous-emission rate of a dipole at ``r_a`` with unit
 orientation ``n_a`` is the ratio of imaginary parts
@@ -22,10 +36,9 @@ functions directly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C0
 
 from .background import green_qs, im_green_b_diag
-from .core import Background, DomainError
+from .core import Background, ComplexFrequency, DomainError
 from .dyson import (
     RegularizedField,
     green_back_1,
@@ -59,15 +72,13 @@ class SERecord:
 
 
 class GreenModel:
-    """A named Green-function approximation ``G = G^B + scattered``."""
+    """A named Green-function approximation ``G = G^B + scattered``, where
+    ``scattered(r1, r2, omega)`` returns the 2x2 scattered part."""
 
     def __init__(self, name, scattered_fn, bg: Background):
         self.name = name
-        self._scattered = scattered_fn
+        self.scattered = scattered_fn
         self.bg = bg
-
-    def scattered(self, r1, r2, omega):
-        return self._scattered(r1, r2, omega)
 
     def full(self, r1, r2, omega):
         from .background import green_b_2d
@@ -82,6 +93,9 @@ class GreenModel:
 
 def mode_green_model(mode, bg) -> GreenModel:
     """Bare-mode variant: the diverging field itself in the outer product."""
+    if mode.norm_state != "normalized":
+        raise DomainError("mode_green_model expects a normalized mode")
+
     def scat(r1, r2, omega):
         v1 = mode.value_at([r1])[0]
         v2 = mode.value_at([r2])[0]
@@ -137,8 +151,7 @@ def se_far_3d(field_value, n_a, omega, omega_c, gamma_c, bg: Background):
     n = np.asarray(n_a, dtype=float)
     n = n / np.linalg.norm(n)
     f = np.asarray(field_value, dtype=complex)
-    wt = omega_c - 1j * gamma_c
-    lor = omega**2 / (2.0 * wt * (wt - omega))
+    lor = lorentzian_prefactor(ComplexFrequency(omega_c, gamma_c), omega)
     scat_nn = lor * (n @ f) ** 2
     return 1.0 + np.imag(scat_nn) / im_green_b_diag(omega, bg, dim=3)
 

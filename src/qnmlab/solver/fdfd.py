@@ -46,7 +46,7 @@ from ..core import (
     ConvergenceError,
     DomainError,
     GridSpec,
-    eps_at,
+    interior_fraction,
     lattice_coords,
 )
 
@@ -142,19 +142,16 @@ class DiscreteOperator:
             eps_mnp = eps_b
             inside = lambda pts: np.zeros(pts.shape[:-1], dtype=bool)
         else:
-            eps_mnp = eps_at(self.material, self.omega)
+            eps_mnp = self.material.eps(self.omega)
             inside = self.geometry.inside
 
         def eps_nodes(xs, ys):
             # staircase at the node position; a node exactly on the material
-            # boundary (tangential E there) takes the two-sided average,
-            # removing the O(h) interface bias of a pure staircase
+            # boundary (tangential E there) is weighted by its interior
+            # fraction
             pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-            d = 1e-6 * h
-            frac = np.zeros(pts.shape[:-1])
-            for off in ((d, 0), (-d, 0), (0, d), (0, -d)):
-                frac += inside(pts + np.asarray(off))
-            return eps_b + (eps_mnp - eps_b) * frac / 4.0
+            frac = interior_fraction(inside, pts, h)
+            return eps_b + (eps_mnp - eps_b) * frac
 
         eps_x = eps_nodes(xh, yi[1:ny])        # (nx, ny-1)
         eps_y = eps_nodes(xi[self._iy0():nx], yh)  # (nx - iy0, ny)
@@ -266,10 +263,6 @@ class DiscreteOperator:
         if not np.all(np.isfinite(y)):
             raise ConvergenceError("linear solve produced non-finite values")
         return (self._b.T @ y - b) / self._kdiag
-
-    def free_factorization(self):
-        self._lu = None
-        self._matrix = None
 
     def background_twin(self):
         """Same operator with the permittivity contrast removed."""
@@ -584,20 +577,6 @@ class NearToFar:
         # E = (1/k^2) (d hz/dy, -d hz/dx)
         return np.stack([grad_hz[:, 1], -grad_hz[:, 0]], axis=-1) / k**2
 
-    def scalar_at(self, points):
-        """hz itself at exterior points (useful for validation)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        k = self.k
-        d = points[:, None, :] - self.pts[None, :, :]
-        R = np.sqrt(np.sum(d**2, axis=-1))
-        u = d / R[..., None]
-        z = k * R
-        g = 0.25j * self._hankel1(0, z)
-        dgdn = (0.25j * k) * self._hankel1(1, z) * np.sum(
-            u * self.nrm[None, :, :], axis=-1)
-        return self.h * np.sum(self.hz[None, :] * dgdn - g * self.dhz[None, :],
-                               axis=1)
-
 
 # -- plane-wave scattering (for the analytic cylinder oracle) -----------------
 
@@ -617,7 +596,7 @@ class PlaneWaveSolution:
         # contrast source k0^2 (eps - eps_b) E_inc on the resonator nodes
         b = np.zeros(op.n_e, dtype=complex)
         k0sq = (op.omega / C0) ** 2
-        eps_c = eps_at(op.material, op.omega) - op.bg.eps_b
+        eps_c = op.material.eps(op.omega) - op.bg.eps_b
         xi, xh = op._xi, op._xh
         yi, yh = op._yi, op._yh
         pts_y = np.stack(np.meshgrid(xi[1:op.nx], yh, indexing="ij"), axis=-1)
@@ -649,7 +628,7 @@ class PlaneWaveSolution:
         mask = op.geometry.inside(pts)
         einc = np.exp(1j * k * pts[..., 0])
         e2 = np.abs(exc) ** 2 + np.abs(eyc + einc) ** 2
-        im_eps = float(np.imag(eps_at(op.material, omega)))
+        im_eps = float(np.imag(op.material.eps(omega)))
         c_abs = (omega * im_eps / (C0 * op.bg.n_b)) \
             * float(np.sum(e2[mask])) * grid.h**2
         return c_sca + c_abs, c_sca, c_abs

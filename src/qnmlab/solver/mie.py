@@ -30,20 +30,14 @@ partial-wave denominator, found by a complex secant iteration.
 import numpy as np
 from scipy.special import h1vp, hankel1, jv, jvp
 
-from ..core import (
-    Background,
-    ComplexFrequency,
-    ConvergenceError,
-    DomainError,
-    eps_at,
-)
+from ..core import Background, ComplexFrequency, ConvergenceError, DomainError
 from .roots import secant_root
 
 MAX_ORDER = 100
 
 
 def _rel_index(material, bg, omega):
-    m = np.sqrt(complex(eps_at(material, omega))) / bg.n_b
+    m = np.sqrt(complex(material.eps(omega))) / bg.n_b
     if m.imag < 0:  # decaying interior wave for the exp(-iwt) convention
         m = -m
     return m

@@ -68,9 +68,6 @@ class ModeField:
         """Cell-centered (E_x, E_y) arrays."""
         return colocate(self.ex, self.ey)
 
-    def cell_centers(self):
-        return self.grid.cell_centers()
-
     def value_at(self, points):
         """Bilinearly interpolated mode vector at arbitrary points, (N, 2)."""
         xc, yc = self.grid.cell_centers()

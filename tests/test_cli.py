@@ -1,9 +1,11 @@
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+from qnmlab import cli
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
 
@@ -153,3 +155,117 @@ def test_resolution_override(tmp_path):
     from qnmlab.solver import load_mode
     mode = load_mode(out / "mode.field")
     assert mode.grid.h == pytest.approx(20e-9)
+
+
+# -- golden artifacts ---------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_CSVS = ("modevol.csv", "spectrum.csv", "distance.csv",
+               "propagator.csv")
+
+
+def _golden_config(tmp_path):
+    # every Green model plus the oracle; the standoffs keep each dipole
+    # inside the oracle grid
+    return _coarse_config(
+        tmp_path,
+        variants=["f", "far", "out", "far+born"],
+        oracle={"enabled": True, "spectrum_stride": 2,
+                "scan_checkpoints": [0, 1]},
+        dipoles=[{"position": ["0 nm", "180 nm"], "orientation": [0, 1]}],
+        distance_scan={"axis": "y", "standoffs": ["20 nm", "40 nm"],
+                       "orientation": [0, 1]},
+        propagator={"source_standoff": "20 nm",
+                    "distances": ["100 nm", "300 nm"]})
+
+
+def _run(cfg, out, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(cfg, str(out), **kwargs)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    cfg = RunConfig.load(_golden_config(tmp))
+    return cfg, _run(cfg, tmp / "out")
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0], np.array([[float(v) for v in line.split(",")]
+                               for line in lines[1:]])
+
+
+def _assert_tree_close(got, want, where="report"):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_tree_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_tree_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0), where
+    else:
+        assert got == want, where
+
+
+def test_golden_artifacts_unchanged(golden_run):
+    _, out = golden_run
+    for name in GOLDEN_CSVS:
+        header, vals = _read_csv(out / name)
+        want_header, want = _read_csv(GOLDEN / name)
+        assert header == want_header, name
+        assert vals.shape == want.shape, name
+        np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0,
+                                   equal_nan=True, err_msg=name)
+    report = json.loads((out / "report.json").read_text())
+    golden = json.loads((GOLDEN / "report.json").read_text())
+    # tolerances_met is compared by its meaning: the oracle checks ran here
+    met = report.pop("tolerances_met")
+    golden.pop("tolerances_met")
+    _assert_tree_close(report, golden)
+    assert report["oracle_checks"]
+    assert met == all(c["within_10pct"]
+                      for c in report["oracle_checks"].values())
+
+
+def test_threaded_spectrum_matches_serial(golden_run, tmp_path):
+    cfg, out = golden_run
+    threaded = _run(cfg, tmp_path / "threads2", threads=2)
+    assert (threaded / "spectrum.csv").read_bytes() == \
+        (out / "spectrum.csv").read_bytes()
+
+
+def test_validate_without_oracle_checks_nothing(tmp_path, monkeypatch):
+    calls = []
+
+    def no_oracle(*args):
+        calls.append(args)
+        raise AssertionError("oracle solve with the oracle disabled")
+
+    monkeypatch.setattr(cli, "oracle_se", no_oracle)
+    cfg = RunConfig.load(_coarse_config(
+        tmp_path, oracle={"enabled": False, "scan_checkpoints": [0]}))
+    out = _run(cfg, tmp_path / "out")
+    report = json.loads((out / "report.json").read_text())
+    assert not calls
+    assert report["oracle_checks"] == {}
+    assert report["tolerances_met"] is None
+
+
+def test_run_rebuilds_report(tmp_path):
+    out = tmp_path / "out"
+    _run(RunConfig.load(_coarse_config(tmp_path)), out)
+    assert "eigenfrequency_thz" in json.loads(
+        (out / "report.json").read_text())
+    flat = RunConfig.load(_coarse_config(
+        tmp_path, material={"type": "constant", "eps": 2.25}))
+    _run(flat, out)
+    report = json.loads((out / "report.json").read_text())
+    assert report["zero_contrast"]
+    assert "eigenfrequency_thz" not in report

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from qnmlab.background import green_b_2d
+from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.core import ConstantMaterial, DomainError
-from qnmlab.dyson import (
-    RegularizedField,
-    green_back_1,
-    green_f,
-    green_far,
-    green_out,
-    lorentzian_prefactor,
-    regularized_field,
+from qnmlab.dyson import RegularizedField, green_back_1, lorentzian_prefactor
+from qnmlab.observables import (
+    far_green_model,
+    mode_green_model,
+    out_green_model,
+    se_enhancement,
 )
 
 
@@ -27,8 +25,8 @@ def _omega_c(rod_pipeline):
 def test_zero_contrast_regularized_field_vanishes(rod_pipeline):
     p = rod_pipeline
     flat = ConstantMaterial(p["bg"].eps_b)
-    vals = regularized_field(p["mode"], p["rod"], flat, p["bg"],
-                             _omega_c(p), [(0, 60e-9), (100e-9, 0)])
+    vals = RegularizedField(p["mode"], p["rod"], flat, p["bg"]).eval(
+        [(0, 60e-9), (100e-9, 0)], _omega_c(p))
     assert np.all(vals == 0)
 
 
@@ -78,11 +76,12 @@ def test_green_f_symmetric_and_needs_normalized_mode(rod_pipeline):
     p = rod_pipeline
     omega = _omega_c(p)
     r1, r2 = (0, 55e-9), (20e-9, 10e-9)
-    g12 = green_f(p["mode"], omega, r1, r2)
-    g21 = green_f(p["mode"], omega, r2, r1)
+    model = mode_green_model(p["mode"], p["bg"])
+    g12 = model.scattered(r1, r2, omega)
+    g21 = model.scattered(r2, r1, omega)
     assert np.allclose(g12, g21.T, rtol=0, atol=1e-16 * np.abs(g12).max())
     with pytest.raises(DomainError):
-        green_f(p["mode_raw"], omega, r1, r2)
+        mode_green_model(p["mode_raw"], p["bg"])
 
 
 def test_lorentzian_prefactor_on_resonance_scales_with_q(rod_pipeline):
@@ -97,26 +96,29 @@ def test_green_far_transpose_symmetry_and_gauge(reg, rod_pipeline):
     p = rod_pipeline
     omega = _omega_c(p)
     r1, r2 = (0, 60e-9), (150e-9, -40e-9)
-    a = green_far(reg, omega, r1, r2)
-    b = green_far(reg, omega, r2, r1)
+    far = far_green_model(reg)
+    a = far.full(r1, r2, omega)
+    b = far.full(r2, r1, omega)
     assert np.allclose(a, b.T, rtol=1e-12)
     # flipping the mode gauge leaves the composed Green function unchanged
     flipped = RegularizedField(p["mode"].scaled(-1.0), p["rod"],
                                p["material"], p["bg"])
-    c = green_far(flipped, omega, r1, r2)
+    c = far_green_model(flipped).full(r1, r2, omega)
     assert np.allclose(a, c, rtol=1e-12)
 
 
 def test_green_out_reduces_to_far_away_from_surface(reg, rod_pipeline):
     omega = _omega_c(rod_pipeline)
-    r1 = (85e-9, 0.0)  # 80 nm off the side: image term negligible
-    far = green_far(reg, omega, r1, r1)
-    out = green_out(reg, omega, r1, r1)
+    far, out = far_green_model(reg), out_green_model(reg)
     n = np.array([0.0, 1.0])
-    assert (n @ out @ n).imag == pytest.approx((n @ far @ n).imag, rel=0.05)
+    r1 = (85e-9, 0.0)  # 80 nm off the side: image term negligible
+    assert se_enhancement(out, r1, n, omega) == pytest.approx(
+        se_enhancement(far, r1, n, omega), rel=0.05)
     r2 = (7e-9, 0.0)  # 2 nm off the side: image term dominates the change
-    far2 = green_far(reg, omega, r2, r2)
-    out2 = green_out(reg, omega, r2, r2)
+    # coincident points: the background adds only its finite imaginary part
+    g_b = 1j * im_green_b_diag(omega, rod_pipeline["bg"], dim=2) * np.eye(2)
+    far2 = g_b + far.scattered(r2, r2, omega)
+    out2 = g_b + out.scattered(r2, r2, omega)
     assert abs(n @ (out2 - far2) @ n) > 0.5 * abs(n @ far2 @ n)
 
 
@@ -126,7 +128,7 @@ def test_green_out_zero_contrast_is_background(rod_pipeline):
     flat = ConstantMaterial(p["bg"].eps_b)
     reg0 = RegularizedField(p["mode"], p["rod"], flat, p["bg"])
     r1, r2 = (30e-9, 10e-9), (60e-9, -20e-9)
-    out = green_out(reg0, omega, r1, r2)
+    out = out_green_model(reg0).full(r1, r2, omega)
     gb = green_b_2d(np.array(r1), np.array(r2), omega, p["bg"])
     assert np.array_equal(out, gb)
 

@@ -177,9 +177,8 @@ def test_unconjugated_products_are_essential(cyl_mode):
     ff_conj = ex[:, :-1] * np.conj(ex[:, 1:]) + ey[:-1, :] * np.conj(ey[1:, :])
     xc, yc = mode.grid.cell_centers()
     pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
-    from qnmlab.core import sigma_dispersion
     sigma = np.where(mode.geometry.inside(pts),
-                     sigma_dispersion(mat, mode.frequency.omega_tilde),
+                     mat.sigma(mode.frequency.omega_tilde),
                      BG.eps_b)
     rr = np.hypot(pts[..., 0], pts[..., 1])
     vol_conj = np.sum(sigma[rr < 650e-9] * ff_conj[rr < 650e-9]) \
