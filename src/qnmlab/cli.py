@@ -10,8 +10,11 @@ Artifacts in the output directory:
 * ``spectrum.csv``    emission enhancement vs frequency per Green model
 * ``distance.csv``    on-resonance enhancement vs standoff per model
 * ``propagator.csv``  normalized |G_yy|^2 vs distance per model
-* ``report.json``     eigenfrequency, Q, V_eff, caustic radius, tolerance
-                      flags
+* ``report.json``     eigenfrequency, Q, pole-search iterates, V_eff,
+                      caustic radius, tolerance flags
+
+``run`` and ``find`` first delete every artifact of an earlier run, so the
+directory never mixes two runs.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -96,6 +99,16 @@ def _update_report(outdir, updates):
     return report
 
 
+def _clear_artifacts(outdir):
+    """Delete the report, the mode and every CSV of an earlier run: a new
+    mode invalidates everything downstream of it."""
+    for name in (REPORT_FILE, MODE_FILE, "modevol.csv", "spectrum.csv",
+                 "distance.csv", "propagator.csv"):
+        path = os.path.join(outdir, name)
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def _load_normalized(outdir):
     path = os.path.join(outdir, MODE_FILE)
     if not os.path.exists(path):
@@ -116,15 +129,23 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
                         pml=grid.pml)
     search = PoleSearch(omega_guess=cfg.omega_guess,
                         rel_tol=cfg.pole_rel_tol, max_iter=cfg.pole_max_iter)
+    _clear_artifacts(outdir)
     mode = find_qnm(grid, cfg.geometry, cfg.material, cfg.bg, search,
                     symmetry=cfg.symmetry)
     save_mode(mode, os.path.join(outdir, MODE_FILE))
     freq = mode.frequency
+    its = mode.pole_iterates
     _update_report(outdir, {
         "eigenfrequency_thz": {"real": freq.omega / (2 * np.pi * 1e12),
                                "imag": -freq.gamma / (2 * np.pi * 1e12)},
         "quality_factor": freq.quality_factor,
         "pole_residual": mode.residual,
+        "pole_search": {
+            "iterates_thz": [[z.real / (2 * np.pi * 1e12),
+                              z.imag / (2 * np.pi * 1e12)] for z in its],
+            "step_rel": [abs(z1 - z0) / abs(z1)
+                         for z0, z1 in zip(its, its[1:])],
+        },
         "zero_contrast": False,
     })
     log.info("eigenfrequency %.3f - %.3fi THz (Q=%.2f)",
@@ -383,10 +404,8 @@ def stage_validate(cfg: RunConfig, outdir):
 
 def run_pipeline(cfg: RunConfig, outdir, threads=1, resolution_override=None):
     os.makedirs(outdir, exist_ok=True)
-    # every run rebuilds its report; the stages add to it
-    report = os.path.join(outdir, REPORT_FILE)
-    if os.path.exists(report):
-        os.remove(report)
+    # every run rebuilds its artifacts; the stages add to the report
+    _clear_artifacts(outdir)
     if cfg.zero_contrast:
         _write_zero_contrast(cfg, outdir)
         return
@@ -428,6 +447,7 @@ def main(argv=None):
                          args.resolution_override)
         elif args.command == "find":
             if cfg.zero_contrast:
+                _clear_artifacts(args.out)
                 _write_zero_contrast(cfg, args.out)
             else:
                 stage_find(cfg, args.out, args.resolution_override)

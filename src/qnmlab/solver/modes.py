@@ -2,11 +2,21 @@
 
 The driven problem ``A(w) x = b`` with a fixed interior source has a
 response ``r(w) = u . x(w)`` whose poles are the resonator eigenfrequencies.
-A secant iteration drives ``1/r(w)`` to zero in the complex plane; at the
-converged pole the solution field is completely dominated by the resonant
-mode and is taken as the (unnormalized) mode profile.  The source is placed
-with the symmetry of the target mode - by default a y-oriented point source
-at the resonator center, which couples to the fundamental plasmon of a rod.
+Newton's method drives ``1/r(w)`` to zero in the complex plane; its step is
+``w <- w + r/r'``.  Each iterate costs one factorization of ``A(w)``.  The
+operator is complex-symmetric, so the derivative comes from the adjoint
+solution ``y = A^{-1} u`` (one more triangular solve with the same factor):
+``r' = y . (b' - A' x)``, with ``b' = 2 b / w`` because the source scales
+with ``k0^2`` and ``A' x`` a central difference of two assemblies.
+
+Nothing is factorized again at the converged pole.  The last iterate's
+field is already dominated by the resonant mode; one residual inverse
+iteration step with the last factor (Neumaier, SIAM J. Numer. Anal. 22, 914
+(1985)), ``x <- x - A(w_k)^{-1} A(w) x`` at the reported pole ``w``, strips
+the non-resonant part the source drove, and the result is taken as the
+(unnormalized) mode profile.  The source is placed with the symmetry of the
+target mode - by default a y-oriented point source at the resonator center,
+which couples to the fundamental plasmon of a rod.
 
 The mode phase gauge makes the largest-magnitude field sample real and
 positive.  Mode files round-trip bit-exactly through a small container
@@ -15,6 +25,7 @@ format: one JSON header line followed by little-endian float64 interleaved
 """
 
 import json
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +41,13 @@ from ..core import (
     PoleSearchError,
     Rod2D,
 )
-from .fdfd import DiscreteOperator, assemble, bilinear_sample, colocate
-from .roots import distinct_roots, secant_root, winding_number
+from .fdfd import assemble, bilinear_sample, colocate
+from .roots import distinct_roots, newton_root, winding_number
+
+log = logging.getLogger("qnm.modes")
+
+# relative frequency offset of the central difference for A'(w) x
+_DW_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,10 @@ class PoleSearch:
 @dataclass(frozen=True)
 class ModeField:
     """A quasinormal mode on the grid: complex E_x/E_y node arrays (full
-    domain, boundary rows included), complex eigenfrequency, and the
-    normalization state ('raw' or 'normalized' with the norm value used)."""
+    domain, boundary rows included), complex eigenfrequency, the
+    normalization state ('raw' or 'normalized' with the norm value used),
+    and the pole-search iterates (complex rad/s, the guess first and the
+    reported pole last; the mode file does not store them)."""
 
     grid: GridSpec
     geometry: object
@@ -63,6 +81,7 @@ class ModeField:
     norm_value: complex | None = None
     gauge: str = "largest |E| sample real positive"
     residual: float = float("nan")
+    pole_iterates: tuple = ()
 
     def colocated(self):
         """Cell-centered (E_x, E_y) arrays."""
@@ -121,44 +140,53 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
              symmetry=None, source=None, probe=None) -> ModeField:
     """Locate one quasinormal mode: eigenfrequency and raw field profile.
 
-    Newton/secant iteration on the inverse of the driven response at a fixed
+    Newton iteration on the inverse of the driven response at a fixed
     interior source, probed away from the source point (the smooth
     self-field of the source would otherwise pinch the convergence basin of
-    ``1/response``).  ``symmetry`` ("x", "y", "xy") solves the mirror-reduced
-    problem when geometry and source allow it.  Raises
+    ``1/response``).  Each iterate factorizes once and gets ``dr/dw`` from
+    an adjoint solve with the same factor; the converged pole is not
+    factorized again, the last iterate's field is refined by one residual
+    inverse iteration step instead (see the module docstring).  Only one
+    factor is alive at a time.  ``symmetry`` ("x", "y", "xy") solves the
+    mirror-reduced problem when geometry and source allow it.  Raises
     :class:`PoleSearchError` when no pole (or more than one, with
     ``verify_isolation``) lies in the search basin.
     """
     source = source or _default_source(geometry)
     probe = probe or _default_probe(geometry)
+    last = {}  # operator (holding its factor) and field of the newest iterate
 
     def inv_response(omega):
-        # one factorization per trial frequency; nothing is kept
-        r = driven_response(grid, geometry, material, bg, omega, symmetry,
-                            source, probe)
+        last.clear()  # free the previous factor before the next one
+        op, x, r, dr = _newton_terms(grid, geometry, material, bg, omega,
+                                     symmetry, source, probe)
         if r == 0:
             raise PoleSearchError("driven response vanished; the source does "
                                   "not couple to a mode near the guess")
-        return 1.0 / r
+        last.update(op=op, x=x)
+        log.debug("pole search: omega %.12g%+.12gi THz, |step|/|omega| "
+                  "%.3e, |r| %.3e", omega.real / (2 * np.pi * 1e12),
+                  omega.imag / (2 * np.pi * 1e12),
+                  abs(r / dr) / abs(omega), abs(r))
+        # Newton on 1/r: the step -(1/r) / (1/r)' is r / r'
+        return 1.0 / r, -dr / r**2
 
     basin = search.basin_radius or 0.25 * abs(search.omega_guess)
-    omega_pole, _ = secant_root(
+    omega_pole, iterates = newton_root(
         inv_response, complex(search.omega_guess), rel_tol=search.rel_tol,
         max_iter=search.max_iter, basin_radius=basin)
+    ex, ey, res = _refine(last.pop("op"), last.pop("x"), grid, geometry,
+                          material, bg, omega_pole, symmetry)
 
     if search.verify_isolation:
-        _check_isolation(inv_response, omega_pole, basin, search)
+        _check_isolation(
+            lambda w: 1.0 / driven_response(grid, geometry, material, bg, w,
+                                            symmetry, source, probe),
+            omega_pole, basin, search)
 
-    op, b, x = _resolve(grid, geometry, material, bg, omega_pole, symmetry,
-                        source)
-    freq = ComplexFrequency.from_omega_tilde(omega_pole)
-    # eigen-residual of the extracted profile, relative to the operator scale
-    res = np.linalg.norm(op.apply(x)) / (np.linalg.norm(x)
-                                         * np.abs(op._kdiag).max())
-    ex, ey = op.unpack(x)
-    ex, ey = _gauge_fix(ex, ey)
     return ModeField(grid=grid, geometry=geometry, bg=bg, ex=ex, ey=ey,
-                     frequency=freq, residual=float(res))
+                     frequency=ComplexFrequency.from_omega_tilde(omega_pole),
+                     residual=res, pole_iterates=tuple(iterates))
 
 
 def _resolve(grid, geometry, material, bg, omega, symmetry, source):
@@ -167,6 +195,41 @@ def _resolve(grid, geometry, material, bg, omega, symmetry, source):
     # parity finds the same pole and mode profile
     b = op.dipole_rhs(source, allow_symmetrized=True)
     return op, b, op.solve(b)
+
+
+def _newton_terms(grid, geometry, material, bg, omega, symmetry, source,
+                  probe):
+    """One Newton iterate: the operator (holding its factor), the field
+    ``x = A^{-1} b``, the response ``r = u . x`` and ``dr/dw``.
+
+    ``A`` is complex-symmetric, so ``u^T A^{-1} = y^T`` with
+    ``y = A^{-1} u``.  ``b``, ``u``, ``y`` and ``A' x`` live only in this
+    frame, so they are gone before the next iterate factorizes.
+    """
+    op, b, x = _resolve(grid, geometry, material, bg, omega, symmetry,
+                        source)
+    u = op.sampling_vector(probe, (0.0, 1.0))
+    y = op.solve(u)
+    dw = _DW_REL * omega
+    dax = (assemble(grid, geometry, material, bg, omega + dw,
+                    symmetry).apply(x)
+           - assemble(grid, geometry, material, bg, omega - dw,
+                      symmetry).apply(x)) / (2 * dw)
+    # the source scales with k0^2, so b' = 2 b / w
+    return op, x, u @ x, y @ (2.0 * b / omega - dax)
+
+
+def _refine(op_k, x, grid, geometry, material, bg, omega, symmetry):
+    """One residual inverse iteration step at the pole ``omega`` with the
+    last iterate's factor, ``x <- x - A(w_k)^{-1} A(w) x``; returns the
+    gauge-fixed (ex, ey) and the eigen-residual at ``omega``."""
+    op = assemble(grid, geometry, material, bg, omega, symmetry)
+    x = x - op_k.solve(op.apply(x))
+    # eigen-residual of the extracted profile, relative to the operator scale
+    res = np.linalg.norm(op.apply(x)) / (np.linalg.norm(x)
+                                         * np.abs(op._kdiag).max())
+    ex, ey = _gauge_fix(*op.unpack(x))
+    return ex, ey, float(res)
 
 
 def _check_isolation(inv_response, omega_pole, basin, search):

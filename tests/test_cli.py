@@ -269,3 +269,37 @@ def test_run_rebuilds_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["zero_contrast"]
     assert "eigenfrequency_thz" not in report
+
+
+def test_zero_contrast_run_leaves_no_stale_artifacts(tmp_path):
+    out = tmp_path / "out"
+    _run(RunConfig.load(_coarse_config(tmp_path)), out)
+    flat = RunConfig.load(_coarse_config(
+        tmp_path, material={"type": "constant", "eps": 2.25}))
+    _run(flat, out)
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["distance.csv", "report.json", "spectrum.csv"]
+
+
+def test_find_starts_fresh_and_reports_pole_search(tmp_path):
+    path = _coarse_config(tmp_path, dipoles=[])
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in GOLDEN_CSVS:
+        (out / name).write_text("stale\n")
+    (out / "report.json").write_text('{"v_eff_m2": 1.0}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["find", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["mode.field", "report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert "v_eff_m2" not in report
+    search = report["pole_search"]
+    its, steps = search["iterates_thz"], search["step_rel"]
+    assert len(steps) == len(its) - 1 >= 1
+    eig = report["eigenfrequency_thz"]
+    assert its[-1] == pytest.approx([eig["real"], eig["imag"]], rel=1e-15)
+    # the last step met the configured tolerance, the ones before did not
+    tol = RunConfig.load(path).pole_rel_tol
+    assert steps[-1] <= tol < min(steps[:-1], default=np.inf)

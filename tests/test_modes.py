@@ -1,6 +1,10 @@
+import logging
+import warnings
+import weakref
+
 import numpy as np
 import pytest
-import warnings
+import scipy.sparse.linalg as spla
 
 from qnmlab.core import (
     Background,
@@ -8,6 +12,7 @@ from qnmlab.core import (
     ConstantMaterial,
     Cylinder2D,
     DomainError,
+    DrudeModel,
     GridSpec,
     PmlSpec,
     PoleSearchError,
@@ -22,12 +27,25 @@ from qnmlab.solver import (
     save_mode,
 )
 from qnmlab.solver.mie import mie_pole
-from qnmlab.solver.roots import distinct_roots, secant_root, winding_number
+from qnmlab.solver.roots import (
+    distinct_roots,
+    newton_root,
+    secant_root,
+    winding_number,
+)
 
 BG = Background(1.5)
 MAT = ConstantMaterial(9.0)
 CYL = Cylinder2D(radius=150e-9)
 GUESS = 2.4e15 - 0.35e15j
+
+# the paper rod on a coarse h = 5 nm grid, mirror-reduced, guessed near its
+# pole; ROD_POLE is what the secant search (five factorizations plus one
+# more at the pole) found on this grid from this guess
+ROD = Rod2D(width=10e-9, length=80e-9)
+DRUDE = DrudeModel(omega_p=1.26e16, gamma_d=7e13)
+ROD_GUESS = 2 * np.pi * (358e12 - 25e12j)
+ROD_POLE = 2249240428473682.8 - 159600938226948.72j
 
 
 def _grid(h, width=1.0e-6, pml=16):
@@ -128,6 +146,59 @@ def test_single_pole_lorentzian_fit_of_rod_response():
     assert np.abs(fit - resp).max() < 0.05 * np.abs(resp).max()
 
 
+def _find_rod(verify_isolation=False):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return find_qnm(_grid(5e-9, width=2.1e-6, pml=24), ROD, DRUDE, BG,
+                        PoleSearch(omega_guess=ROD_GUESS,
+                                   verify_isolation=verify_isolation),
+                        symmetry="xy")
+
+
+class _Factor:
+    """Stand-in for a SuperLU factor, which takes no weak references."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def test_newton_search_factorizes_three_times_one_factor_at_a_time(
+        monkeypatch, caplog):
+    factors = []
+    alive_before = []
+    splu = spla.splu
+
+    def tracked_splu(*args, **kwargs):
+        alive_before.append(sum(f() is not None for f in factors))
+        factor = _Factor(splu(*args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    with caplog.at_level(logging.DEBUG, logger="qnm.modes"):
+        mode = _find_rod()
+    assert len(factors) <= 3
+    assert max(alive_before) == 0
+    assert all(f() is None for f in factors)
+    assert mode.residual < 1e-12
+    pole = mode.frequency.omega_tilde
+    assert abs(pole - ROD_POLE) <= 1e-9 * abs(ROD_POLE)
+    assert mode.pole_iterates[0] == ROD_GUESS
+    assert mode.pole_iterates[-1] == pole
+    # one DEBUG line per evaluated iterate
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "qnm.modes" and r.levelno == logging.DEBUG]
+    assert len(lines) == len(mode.pole_iterates) - 1 == len(factors)
+    assert all("THz" in line and "|step|/|omega|" in line and "|r|" in line
+               for line in lines)
+
+
+def test_verify_isolation_accepts_isolated_rod_pole():
+    mode = _find_rod(verify_isolation=True)
+    pole = mode.frequency.omega_tilde
+    assert abs(pole - ROD_POLE) <= 1e-9 * abs(ROD_POLE)
+
+
 def test_no_pole_in_basin_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -168,6 +239,26 @@ def test_mode_value_interpolation(cylinder_modes):
 def test_secant_root_on_polynomial():
     z, _ = secant_root(lambda z: (z - 2.0 - 1.0j) * (z + 3.0), 2.2 + 0.8j)
     assert z == pytest.approx(2.0 + 1.0j, rel=1e-9)
+
+
+def _poly_fdf(z):
+    return (z - 2.0 - 1.0j) * (z + 3.0), 2 * z + 1.0 - 1.0j
+
+
+def test_newton_root_on_polynomial():
+    z, history = newton_root(_poly_fdf, 2.2 + 0.8j, rel_tol=1e-12)
+    assert abs(z - (2.0 + 1.0j)) <= 1e-12 * abs(2.0 + 1.0j)
+    assert history[0] == 2.2 + 0.8j and history[-1] == z
+
+
+def test_newton_root_leaving_basin_raises():
+    with pytest.raises(PoleSearchError, match="left the search basin"):
+        newton_root(_poly_fdf, 2.2 + 0.8j, basin_radius=0.01)
+
+
+def test_newton_root_exhausted_raises():
+    with pytest.raises(PoleSearchError, match="within 2 iterations"):
+        newton_root(_poly_fdf, 2.2 + 0.8j, rel_tol=1e-12, max_iter=2)
 
 
 def test_winding_counts_zeros():
