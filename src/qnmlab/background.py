@@ -122,8 +122,7 @@ def static_green_2d(r1, r2, bg: Background):
     return g[0] if scalar else g
 
 
-def green_qs(r_a, r_b, omega, material, bg: Background, surface,
-             retarded=False):
+def green_qs(r_a, r_b, omega, material, bg: Background, surface):
     """Quasi-static image-dipole Green function near a flat metal surface.
 
     The source point ``r_b`` is mirrored across ``surface``; its s component
@@ -132,10 +131,7 @@ def green_qs(r_a, r_b, omega, material, bg: Background, surface,
     ``image_strength``.  Both points must lie on the background side.
 
     The mirror dyadic is the electrostatic 1/R^2 part of the background
-    response (that is what "quasi-static" means physically): with the fully
-    retarded dyadic instead (``retarded=True``, for diagnostics) the image
-    radiates and keeps contributing far outside the near-field regime where
-    the term is meaningful.
+    response (that is what "quasi-static" means physically).
     """
     r_a = np.asarray(r_a, dtype=float)
     r_b = np.asarray(r_b, dtype=float)
@@ -147,9 +143,6 @@ def green_qs(r_a, r_b, omega, material, bg: Background, surface,
     alpha = image_strength(material, bg, omega)
     n = np.asarray(surface.normal)
     t = np.array([-n[1], n[0]])
-    if retarded:
-        gb = green_b_2d(r_a, surface.mirror(r_b), omega, bg)
-    else:
-        gb = static_green_2d(r_a, surface.mirror(r_b), bg)
+    gb = static_green_2d(r_a, surface.mirror(r_b), bg)
     mirror_sign = np.outer(n, n) - np.outer(t, t)
     return gb @ (alpha * mirror_sign)

@@ -32,15 +32,9 @@ import numpy as np
 
 from .background import im_green_b_diag
 from .config import ConfigError, RunConfig
-from .core import Background, Dipole, DomainError, QnmError
+from .core import Dipole, GridSpec, QnmError
 from .dyson import RegularizedField
-from .normalize import (
-    caustic_radius,
-    inner_product,
-    mode_volume,
-    norm_scan,
-    normalize_mode,
-)
+from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
     born_green_model,
     distance_scan,
@@ -59,7 +53,6 @@ from .solver import (
     save_mode,
     solve_dipole,
 )
-from .core import GridSpec, PmlSpec
 
 log = logging.getLogger("qnm")
 
@@ -109,7 +102,7 @@ def _clear_artifacts(outdir):
             os.remove(path)
 
 
-def _load_normalized(outdir):
+def _load_mode(outdir):
     path = os.path.join(outdir, MODE_FILE)
     if not os.path.exists(path):
         raise QnmError(f"{path} not found; run 'qnm find' (and 'normalize') "
@@ -155,7 +148,7 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
 
 
 def stage_normalize(cfg: RunConfig, outdir):
-    mode = _load_normalized(outdir)
+    mode = _load_mode(outdir)
     if mode.norm_state == "normalized":
         log.info("mode already normalized")
         return mode
@@ -171,7 +164,7 @@ def stage_normalize(cfg: RunConfig, outdir):
 
 
 def stage_modevol(cfg: RunConfig, outdir):
-    mode = _load_normalized(outdir)
+    mode = _load_mode(outdir)
     if mode.norm_state != "normalized":
         raise QnmError("mode is not normalized; run 'qnm normalize' first")
     scan = norm_scan(mode, cfg.material, cfg.bg, cfg.norm_clearances)
@@ -220,9 +213,11 @@ def _columns(cfg, models):
         + (["oracle"] if cfg.oracle_enabled else [])
 
 
-def oracle_grid(cfg: RunConfig, positions, margin=0.35e-6):
-    """Grid sized to hold the resonator and the given dipole positions."""
+def oracle_grid(cfg: RunConfig, positions):
+    """Grid sized to hold the resonator and the given dipole positions, with
+    350 nm between the outermost of them and the PML."""
     h = cfg.grid.h
+    margin = 0.35e-6
     (bx0, bx1), (by0, by1) = cfg.geometry.bounding_box
     xs = [bx0, bx1] + [p[0] for p in positions]
     ys = [by0, by1] + [p[1] for p in positions]
@@ -261,7 +256,7 @@ def stage_se(cfg: RunConfig, outdir, threads=1):
     if not cfg.dipoles:
         log.info("no dipoles configured; skipping emission artifacts")
         return
-    mode = _load_normalized(outdir)
+    mode = _load_mode(outdir)
     models = _build_models(cfg, mode)
     freq = mode.frequency
     # spectrum at the first configured dipole
@@ -314,7 +309,7 @@ def _write_zero_contrast(cfg, outdir):
 def stage_propagate(cfg: RunConfig, outdir):
     if cfg.zero_contrast or cfg.prop_source_standoff is None:
         return
-    mode = _load_normalized(outdir)
+    mode = _load_mode(outdir)
     models = _build_models(cfg, mode)
     freq = mode.frequency
     omega = freq.omega
@@ -384,7 +379,7 @@ def stage_validate(cfg: RunConfig, outdir):
     points = [i for i in checkpoints if i < len(path)]
     checks = {}
     if points:
-        mode = _load_normalized(outdir)
+        mode = _load_mode(outdir)
         far = far_green_model(
             RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg))
         omega = mode.frequency.omega

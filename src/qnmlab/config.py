@@ -45,6 +45,8 @@ def parse_quantity(value, kind, where=""):
         num = float(parts[0])
     except ValueError:
         raise ConfigError(f"{where}: bad number in {value!r}")
+    if not np.isfinite(num):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
     return num * units[parts[1]]
 
 
@@ -90,6 +92,8 @@ def _parse_grid(d):
     _check_keys(d, {"h", "half_width", "pml_cells", "pml_order",
                     "pml_reflection"}, "grid")
     h = parse_quantity(d["h"], "length", "grid.h")
+    if not h > 0:
+        raise ConfigError("grid.h must be positive")
     half = parse_quantity(d["half_width"], "length", "grid.half_width")
     half = round(half / h) * h  # whole cells per half: even total count
     pml = PmlSpec(cells=int(d.get("pml_cells", 20)),
@@ -186,6 +190,8 @@ class RunConfig:
                              "scan_checkpoints"}, "oracle")
         self.oracle_enabled = bool(oracle.get("enabled", False))
         self.oracle_spectrum_stride = int(oracle.get("spectrum_stride", 4))
+        if self.oracle_spectrum_stride < 1:
+            raise ConfigError("oracle.spectrum_stride must be at least 1")
         self.oracle_scan_checkpoints = [
             int(i) for i in oracle.get("scan_checkpoints", [])]
 

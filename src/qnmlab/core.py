@@ -297,6 +297,33 @@ def lattice_coords(lo, hi, n, h, offset):
     return lo + (np.arange(n) + offset) * h
 
 
+def _mesh(xs, ys):
+    """Points (len(xs), len(ys), 2) of the tensor-product lattice."""
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+
+
+def colocate(ex, ey):
+    """Average node arrays onto cell centers; returns (Ex_c, Ey_c)."""
+    return 0.5 * (ex[:, :-1] + ex[:, 1:]), 0.5 * (ey[:-1, :] + ey[1:, :])
+
+
+def bilinear_sample(xc, yc, field, points):
+    """Bilinear interpolation of a cell-centered field at arbitrary points."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    hx = xc[1] - xc[0]
+    hy = yc[1] - yc[0]
+    u = (points[:, 0] - xc[0]) / hx
+    v = (points[:, 1] - yc[0]) / hy
+    i0 = np.clip(np.floor(u).astype(int), 0, len(xc) - 2)
+    j0 = np.clip(np.floor(v).astype(int), 0, len(yc) - 2)
+    wu = u - i0
+    wv = v - j0
+    return (field[i0, j0] * (1 - wu) * (1 - wv)
+            + field[i0 + 1, j0] * wu * (1 - wv)
+            + field[i0, j0 + 1] * (1 - wu) * wv
+            + field[i0 + 1, j0 + 1] * wu * wv)
+
+
 def interior_fraction(inside, pts, h):
     """Share of four probes, offset by 1e-6 h along +-x and +-y from the
     node positions ``pts`` (..., 2), that lie inside: 1 inside, 0 outside.
@@ -357,12 +384,45 @@ class GridSpec:
         (x0, x1), (y0, y1) = self.extent
         return (int(round((x1 - x0) / self.h)), int(round((y1 - y0) / self.h)))
 
-    def cell_centers(self):
-        """1D coordinate arrays of cell centers (x then y)."""
+    def node_axes(self):
+        """Full-grid node coordinates ``(xi, xh, yi, yh)``: the integer lines
+        ``x0 + i h`` (Nx + 1 of them) and the half lines ``x0 + (i + 1/2) h``
+        (Nx, the cell centers) along x, likewise along y.  E_x nodes sit at
+        (xh, yi), E_y nodes at (xi, yh).  Every coordinate array on the
+        Yee lattice derives from these."""
         (x0, x1), (y0, y1) = self.extent
         nx, ny = self.n_cells
-        return (lattice_coords(x0, x1, nx, self.h, 0.5),
-                lattice_coords(y0, y1, ny, self.h, 0.5))
+        h = self.h
+        return (lattice_coords(x0, x1, nx + 1, h, 0.0),
+                lattice_coords(x0, x1, nx, h, 0.5),
+                lattice_coords(y0, y1, ny + 1, h, 0.0),
+                lattice_coords(y0, y1, ny, h, 0.5))
+
+    def cell_centers(self):
+        """1D coordinate arrays of cell centers (x then y)."""
+        _, xh, _, yh = self.node_axes()
+        return xh, yh
+
+    def cell_mesh(self):
+        """Cell-center points, shape (Nx, Ny, 2).  Built on each call: at
+        the paper's 840 x 840 cells it is 11 MB, too much to keep."""
+        return _mesh(*self.cell_centers())
+
+    def node_meshes(self):
+        """E_x and E_y node points, shapes (Nx, Ny+1, 2) and (Nx+1, Ny, 2);
+        built on each call."""
+        xi, xh, yi, yh = self.node_axes()
+        return _mesh(xh, yi), _mesh(xi, yh)
+
+    def sample(self, cells, points):
+        """Bilinear samples of a cell-centered array at ``points`` (N, 2)."""
+        return bilinear_sample(*self.cell_centers(), cells, points)
+
+    def sample_nodes(self, ex, ey, points):
+        """The E_x/E_y node arrays colocated on cell centers and sampled at
+        ``points``: vectors of shape (N, 2)."""
+        return np.stack([self.sample(c, points) for c in colocate(ex, ey)],
+                        axis=-1)
 
     @property
     def pml_thickness(self) -> float:

@@ -26,7 +26,7 @@ steep 1/R^2 kernel needs below ~10 nm standoffs.
 import numpy as np
 
 from .background import green_b_2d
-from .core import Background, DomainError, interior_fraction, lattice_coords
+from .core import Background, DomainError, interior_fraction
 from .solver.modes import ModeField
 
 __all__ = [
@@ -69,20 +69,10 @@ class RegularizedField:
         self.max_subdiv = max_subdiv
         self.base_subdiv = base_subdiv
         grid = mode.grid
-        h = grid.h
-        (x0, x1), (y0, y1) = grid.extent
-        nx, ny = grid.n_cells
-        xi = lattice_coords(x0, x1, nx + 1, h, 0.0)
-        xh = lattice_coords(x0, x1, nx, h, 0.5)
-        yi = lattice_coords(y0, y1, ny + 1, h, 0.0)
-        yh = lattice_coords(y0, y1, ny, h, 0.5)
         src_pts, src_amp, src_comp = [], [], []
-        for comp, (xs, ys, field) in {
-            0: (xh, yi, mode.ex),
-            1: (xi, yh, mode.ey),
-        }.items():
-            pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-            frac = interior_fraction(geometry.inside, pts, h)
+        for comp, (pts, field) in enumerate(zip(grid.node_meshes(),
+                                                (mode.ex, mode.ey))):
+            frac = interior_fraction(geometry.inside, pts, grid.h)
             sel = frac > 0
             src_pts.append(pts[sel])
             src_amp.append(field[sel] * frac[sel])
@@ -135,19 +125,16 @@ class RegularizedField:
         return out
 
 
-def green_back_1(geometry, material, bg: Background, omega, r1, r2,
-                 h=None, near_factor=12.0, max_subdiv=12):
-    """First-order scattering correction by quadrature over the resonator.
-
-    ``h`` sets the quadrature cell size (default: smallest feature / 12).
-    """
+def green_back_1(geometry, material, bg: Background, omega, r1, r2):
+    """First-order scattering correction by quadrature over the resonator,
+    on cells of a twelfth of its smallest feature; cells within 12 cells of
+    either point are subdivided up to 12 x 12."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     if geometry.inside(r1) or geometry.inside(r2):
         raise DomainError("evaluation points must lie outside the resonator")
     (bx0, bx1), (by0, by1) = geometry.bounding_box
-    if h is None:
-        h = min(bx1 - bx0, by1 - by0) / 12.0
+    h = min(bx1 - bx0, by1 - by0) / 12.0
     nx = max(2, int(round((bx1 - bx0) / h)))
     ny = max(2, int(round((by1 - by0) / h)))
     hx = (bx1 - bx0) / nx
@@ -161,7 +148,7 @@ def green_back_1(geometry, material, bg: Background, omega, r1, r2,
     total = np.zeros((2, 2), dtype=complex)
     d1 = np.sqrt(np.sum((cells - r1) ** 2, axis=-1))
     d2 = np.sqrt(np.sum((cells - r2) ** 2, axis=-1))
-    near = np.minimum(d1, d2) < near_factor * max(hx, hy)
+    near = np.minimum(d1, d2) < 12.0 * max(hx, hy)
     far_cells = cells[~near]
     if len(far_cells):
         ga = green_b_2d(r1[None, :], far_cells, omega, bg)
@@ -169,7 +156,7 @@ def green_back_1(geometry, material, bg: Background, omega, r1, r2,
         total += np.einsum("mij,mjk->ik", ga, gb) * area
     for c in cells[near]:
         dist = max(min(np.hypot(*(c - r1)), np.hypot(*(c - r2))), 0.25 * h)
-        n_sub = int(np.clip(np.ceil(3.0 * h / dist), 2, max_subdiv))
+        n_sub = int(np.clip(np.ceil(3.0 * h / dist), 2, 12))
         off = (np.arange(n_sub) + 0.5) / n_sub - 0.5
         sx, sy = np.meshgrid(off * hx, off * hy, indexing="ij")
         sub = c + np.stack([sx.ravel(), sy.ravel()], axis=-1)

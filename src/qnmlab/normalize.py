@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as C0
 
-from .core import Background, ConvergenceError, DomainError
-from .solver.fdfd import bilinear_sample, curl_cells
+from .core import Background, ConvergenceError, DomainError, colocate
+from .solver.fdfd import curl_cells
 from .solver.modes import ModeField
 
 __all__ = [
@@ -88,7 +88,9 @@ def _bounding_radius(geometry):
                for x in (bx0, bx1) for y in (by0, by1)), (cx, cy)
 
 
-def _integration_disk(mode: ModeField, clearance):
+def _disk_cells(mode: ModeField, clearance):
+    """Masks over the cell centers, inside the resonator and inside the
+    integration disk of ``clearance``, with the disk's radius and center."""
     r_bound, center = _bounding_radius(mode.geometry)
     radius = r_bound + clearance
     (ix0, ix1), (iy0, iy1) = mode.grid.interior_box(margin_cells=1)
@@ -96,7 +98,9 @@ def _integration_disk(mode: ModeField, clearance):
             or center[1] - radius < iy0 or center[1] + radius > iy1):
         raise DomainError(
             f"integration clearance {clearance:.3g} m reaches into the PML")
-    return radius, center
+    pts = mode.grid.cell_mesh()
+    rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+    return mode.geometry.inside(pts), rr < radius, radius, center
 
 
 def _colocated_squares(mode: ModeField):
@@ -117,25 +121,19 @@ def _colocated_squares(mode: ModeField):
 def inner_product(mode: ModeField, material, bg: Background,
                   domain_half_width) -> NormBreakdown:
     """Unconjugated mode norm over one finite disk-shaped domain."""
-    grid = mode.grid
-    h = grid.h
-    xc, yc = grid.cell_centers()
-    radius, center = _integration_disk(mode, domain_half_width)
+    h = mode.grid.h
+    inside, mask, radius, center = _disk_cells(mode, domain_half_width)
     omega_t = mode.frequency.omega_tilde
 
     ff = _colocated_squares(mode)
-    pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
-    sigma = np.where(mode.geometry.inside(pts),
-                     material.sigma(omega_t), bg.eps_b)
-    rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
-    mask = rr < radius
+    sigma = np.where(inside, material.sigma(omega_t), bg.eps_b)
     volume = complex(np.sum(sigma[mask] * ff[mask]) * h * h)
 
     m = int(np.ceil(2 * np.pi * radius / h))
     th = 2 * np.pi * np.arange(m) / m
     cpts = np.stack([center[0] + radius * np.cos(th),
                      center[1] + radius * np.sin(th)], axis=-1)
-    ff_line = bilinear_sample(xc, yc, ff, cpts)
+    ff_line = mode.grid.sample(ff, cpts)
     line = np.sum(ff_line) * (2 * np.pi * radius / m)
     surface = 1j * bg.n_b * C0 / (2.0 * omega_t) * line
 
@@ -190,14 +188,13 @@ def mode_volume(mode: ModeField, bg: Background, r0=None) -> ModeVolume:
     """
     if mode.norm_state != "normalized":
         raise DomainError("mode_volume expects a normalized mode")
-    exc, eyc = mode.colocated()
-    xc, yc = mode.grid.cell_centers()
     if r0 is None:
-        pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
+        exc, eyc = colocate(mode.ex, mode.ey)
+        pts = mode.grid.cell_mesh()
         intensity = np.abs(exc) ** 2 + np.abs(eyc) ** 2
         intensity[mode.geometry.inside(pts)] = 0.0
         i, j = np.unravel_index(np.argmax(intensity), intensity.shape)
-        r0 = (float(xc[i]), float(yc[j]))
+        r0 = (float(pts[i, j, 0]), float(pts[i, j, 1]))
         ff0 = exc[i, j] ** 2 + eyc[i, j] ** 2
     else:
         v = mode.value_at([r0])[0]
@@ -220,22 +217,16 @@ def sauvan_norm(mode: ModeField, material, bg: Background,
     with hz the discrete out-of-plane curl of the mode; self-convergent, no
     surface term.  Analytically identical to ``inner_product(...).total``.
     """
-    grid = mode.grid
-    h = grid.h
-    xc, yc = grid.cell_centers()
-    radius, center = _integration_disk(mode, domain_half_width)
+    h = mode.grid.h
+    inside, mask, _, _ = _disk_cells(mode, domain_half_width)
     omega_t = mode.frequency.omega_tilde
 
     ff = _colocated_squares(mode)
     hz = curl_cells(mode.ex, mode.ey, h)
-    pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
-    inside = mode.geometry.inside(pts)
     # d(w eps)/dw = 2 sigma - eps, analytic forms on both media
     deps_dw = np.where(inside,
                        2.0 * material.sigma(omega_t)
                        - material.eps(omega_t),
                        bg.eps_b)
-    rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
-    mask = rr < radius
     integrand = deps_dw * ff + (C0 / omega_t) ** 2 * hz * hz
     return complex(0.5 * np.sum(integrand[mask]) * h * h)

@@ -121,14 +121,14 @@ def out_green_model(reg: RegularizedField) -> GreenModel:
     return GreenModel("out", scat, reg.bg)
 
 
-def born_green_model(reg: RegularizedField, quad_h=None) -> GreenModel:
+def born_green_model(reg: RegularizedField) -> GreenModel:
     """Far variant plus the first-order scattering correction (the
     perturbative alternative to the quasi-static image term)."""
     far = far_green_model(reg)
 
     def scat(r1, r2, omega):
         return far.scattered(r1, r2, omega) + green_back_1(
-            reg.geometry, reg.material, reg.bg, omega, r1, r2, h=quad_h)
+            reg.geometry, reg.material, reg.bg, omega, r1, r2)
     return GreenModel("far+born", scat, reg.bg)
 
 

@@ -2,14 +2,13 @@
 complex-frequency pole search for quasinormal modes, and the analytic
 cylinder scattering series."""
 
+from ..core import bilinear_sample, colocate
 from .fdfd import (
     DipoleSolution,
     DiscreteOperator,
     NearToFar,
     PlaneWaveSolution,
     assemble,
-    bilinear_sample,
-    colocate,
     curl_cells,
     poynting_flux,
     solve_dipole,

@@ -6,7 +6,8 @@ carried as a derived quantity).  Stretched-coordinate PML absorbers emulate
 open boundaries; the stretch factors are evaluated at the (possibly complex)
 operating frequency.
 
-Layout, for a grid of ``Nx x Ny`` cells of size ``h`` with origin (x0, y0):
+Layout, for a grid of ``Nx x Ny`` cells of size ``h`` with origin (x0, y0);
+the coordinates come from ``GridSpec.node_axes``, the one source of them:
 
     E_x nodes  at (x0 + (i+1/2) h, y0 + j h)        i in [0,Nx), j in [0,Ny]
     E_y nodes  at (x0 + i h,       y0 + (j+1/2) h)  i in [0,Nx], j in [0,Ny)
@@ -46,8 +47,8 @@ from ..core import (
     ConvergenceError,
     DomainError,
     GridSpec,
+    colocate,
     interior_fraction,
-    lattice_coords,
 )
 
 _SPLU_OPTS = dict(SymmetricMode=True, DiagPivotThresh=0.01)
@@ -109,6 +110,13 @@ class DiscreteOperator:
             if active and (abs(lo + hi) > 1e-9 * h or n % 2):
                 raise DomainError("mirror symmetry needs an extent symmetric "
                                   "about 0 with an even cell count")
+        if self.geometry is not None and self.symmetry:
+            # the reduced operator solves the geometry plus its mirror images
+            cx, cy = getattr(self.geometry, "center", (np.nan, np.nan))
+            if (self.mirror_x and not abs(cx) <= 1e-9 * h) or \
+               (self.mirror_y and not abs(cy) <= 1e-9 * h):
+                raise DomainError("mirror symmetry needs a geometry centered "
+                                  "on the mirror plane")
         self.h = h
         self.nx = nx_full // 2 if self.mirror_x else nx_full
         self.ny = ny_full // 2 if self.mirror_y else ny_full
@@ -117,13 +125,13 @@ class DiscreteOperator:
         nx, ny = self.nx, self.ny
         pml = grid.pml
 
-        # reduced domains start at the mirror plane (origin); coordinates of
-        # x >= 0 nodes then agree bit-for-bit with the symmetric full lattice
-        xi = lattice_coords(self.rx0, x1, nx + 1, h, 0.0)  # integer x lines
-        xh = lattice_coords(self.rx0, x1, nx, h, 0.5)      # half x lines
-        yi = lattice_coords(self.ry0, y1, ny + 1, h, 0.0)
-        yh = lattice_coords(self.ry0, y1, ny, h, 0.5)
-        self._xi, self._xh, self._yi, self._yh = xi, xh, yi, yh
+        # reduced domains start at the mirror plane (origin): their nodes are
+        # the x >= 0 (y >= 0) tail halves of the symmetric full lattice
+        xi, xh, yi, yh = grid.node_axes()
+        if self.mirror_x:
+            xi, xh = xi[nx_full // 2:], xh[nx_full // 2:]
+        if self.mirror_y:
+            yi, yh = yi[ny_full // 2:], yh[ny_full // 2:]
 
         n_b = self.bg.n_b
         w = self.omega
@@ -386,31 +394,9 @@ def assemble(grid: GridSpec, geometry, material, bg: Background, omega,
     return DiscreteOperator(grid, geometry, material, bg, omega, symmetry)
 
 
-def colocate(ex, ey):
-    """Average node arrays onto cell centers; returns (Ex_c, Ey_c)."""
-    return 0.5 * (ex[:, :-1] + ex[:, 1:]), 0.5 * (ey[:-1, :] + ey[1:, :])
-
-
 def curl_cells(ex, ey, h):
     """Discrete (curl E)_z on cell centers from node arrays."""
     return (ey[1:, :] - ey[:-1, :]) / h - (ex[:, 1:] - ex[:, :-1]) / h
-
-
-def bilinear_sample(xc, yc, field, points):
-    """Bilinear interpolation of a cell-centered field at arbitrary points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    hx = xc[1] - xc[0]
-    hy = yc[1] - yc[0]
-    u = (points[:, 0] - xc[0]) / hx
-    v = (points[:, 1] - yc[0]) / hy
-    i0 = np.clip(np.floor(u).astype(int), 0, len(xc) - 2)
-    j0 = np.clip(np.floor(v).astype(int), 0, len(yc) - 2)
-    wu = u - i0
-    wv = v - j0
-    return (field[i0, j0] * (1 - wu) * (1 - wv)
-            + field[i0 + 1, j0] * wu * (1 - wv)
-            + field[i0, j0 + 1] * (1 - wu) * wv
-            + field[i0 + 1, j0 + 1] * wu * wv)
 
 
 class DipoleSolution:
@@ -440,10 +426,6 @@ class DipoleSolution:
         self._w_self = operator.sampling_vector(dipole.position,
                                                 dipole.orientation)
         self._g_self_scat = self._w_self @ (x_tot - x_bg)
-        cx, cy = operator.grid.cell_centers()
-        self._cx, self._cy = cx, cy
-        self._col_scat = colocate(self.ex_scat, self.ey_scat)
-        self._col_tot = colocate(self.ex, self.ey)
 
     @property
     def grid(self):
@@ -455,14 +437,10 @@ class DipoleSolution:
 
     def scattered_field_at(self, points):
         """Scattered Green column (N, 2) sampled at arbitrary grid points."""
-        ex = bilinear_sample(self._cx, self._cy, self._col_scat[0], points)
-        ey = bilinear_sample(self._cx, self._cy, self._col_scat[1], points)
-        return np.stack([ex, ey], axis=-1)
+        return self.grid.sample_nodes(self.ex_scat, self.ey_scat, points)
 
     def total_field_at(self, points):
-        ex = bilinear_sample(self._cx, self._cy, self._col_tot[0], points)
-        ey = bilinear_sample(self._cx, self._cy, self._col_tot[1], points)
-        return np.stack([ex, ey], axis=-1)
+        return self.grid.sample_nodes(self.ex, self.ey, points)
 
 
 def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
@@ -473,9 +451,12 @@ def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
 # -- contours, fluxes, near-to-far transform ---------------------------------
 
 
-def _contour_nodes(xc, yc, rect):
-    """Cell-center sample points, outward normals and arc weights of a
-    rectangle (snapped to cell-center lines)."""
+def _contour_samples(fields, grid, rect):
+    """Cell-center points and outward normals of a rectangle (snapped to
+    cell-center lines), with the colocated E_x, E_y and the curl h_z of the
+    node arrays ``fields = (ex, ey)`` there."""
+    ex, ey = fields
+    xc, yc = grid.cell_centers()
     (rx0, rx1), (ry0, ry1) = rect
     ix0 = int(np.argmin(np.abs(xc - rx0)))
     ix1 = int(np.argmin(np.abs(xc - rx1)))
@@ -496,7 +477,10 @@ def _contour_nodes(xc, yc, rect):
         take.append((np.full(jj.shape, i), jj))
     idx = (np.concatenate([t[0] for t in take]),
            np.concatenate([t[1] for t in take]))
-    return np.concatenate(pts), np.concatenate(nrm), idx
+    exc, eyc = colocate(ex, ey)
+    hz = curl_cells(ex, ey, grid.h)
+    return np.concatenate(pts), np.concatenate(nrm), exc[idx], eyc[idx], \
+        hz[idx]
 
 
 def poynting_flux(solution_fields, grid, rect, omega):
@@ -506,13 +490,9 @@ def poynting_flux(solution_fields, grid, rect, omega):
     ``solution_fields = (ex, ey)`` node arrays of the field whose flux is
     wanted.  Uses S = Re(E x H*)/2 with H_z = (curl E)_z / (i mu0 omega).
     """
-    ex, ey = solution_fields
-    xc, yc = grid.cell_centers()
-    exc, eyc = colocate(ex, ey)
-    hz = curl_cells(ex, ey, grid.h)
-    pts, nrm, (io, jo) = _contour_nodes(xc, yc, rect)
-    sx = -0.5 * np.imag(eyc[io, jo] * np.conj(hz[io, jo]))
-    sy = +0.5 * np.imag(exc[io, jo] * np.conj(hz[io, jo]))
+    _, nrm, exc, eyc, hz = _contour_samples(solution_fields, grid, rect)
+    sx = -0.5 * np.imag(eyc * np.conj(hz))
+    sy = +0.5 * np.imag(exc * np.conj(hz))
     return np.sum((sx * nrm[:, 0] + sy * nrm[:, 1])) * grid.h
 
 
@@ -533,19 +513,14 @@ class NearToFar:
     def __init__(self, fields, grid, bg, omega, rect):
         from scipy.special import hankel1  # local: keeps module import light
         self._hankel1 = hankel1
-        ex, ey = fields
-        xc, yc = grid.cell_centers()
-        exc, eyc = colocate(ex, ey)
-        hz = curl_cells(ex, ey, grid.h)
-        pts, nrm, (io, jo) = _contour_nodes(xc, yc, rect)
+        pts, nrm, exc, eyc, hz = _contour_samples(fields, grid, rect)
         self.pts = pts
         self.nrm = nrm
         self.h = grid.h
         self.k = bg.wavenumber(omega)
-        self.hz = hz[io, jo]
+        self.hz = hz
         # dhz/dn = -k^2 (n x E)_z = -k^2 (nx Ey - ny Ex)
-        self.dhz = -self.k**2 * (nrm[:, 0] * eyc[io, jo]
-                                 - nrm[:, 1] * exc[io, jo])
+        self.dhz = -self.k**2 * (nrm[:, 0] * eyc - nrm[:, 1] * exc)
         self.rect = rect
 
     def scattered_field_at(self, points):
@@ -597,9 +572,8 @@ class PlaneWaveSolution:
         b = np.zeros(op.n_e, dtype=complex)
         k0sq = (op.omega / C0) ** 2
         eps_c = op.material.eps(op.omega) - op.bg.eps_b
-        xi, xh = op._xi, op._xh
-        yi, yh = op._yi, op._yh
-        pts_y = np.stack(np.meshgrid(xi[1:op.nx], yh, indexing="ij"), axis=-1)
+        # E_y nodes off the PEC boundary columns
+        pts_y = op.grid.node_meshes()[1][1:op.nx]
         mask_y = op.geometry.inside(pts_y)
         einc_y = np.exp(1j * k * pts_y[..., 0])
         by = np.where(mask_y, k0sq * eps_c * einc_y, 0.0)
@@ -623,8 +597,7 @@ class PlaneWaveSolution:
         # plane wave carries flux density k/2
         c_sca = p_sca / (0.5 * k)
         exc, eyc = colocate(self.ex_scat, self.ey_scat)
-        xc, yc = grid.cell_centers()
-        pts = np.stack(np.meshgrid(xc, yc, indexing="ij"), axis=-1)
+        pts = grid.cell_mesh()
         mask = op.geometry.inside(pts)
         einc = np.exp(1j * k * pts[..., 0])
         e2 = np.abs(exc) ** 2 + np.abs(eyc + einc) ** 2

@@ -41,7 +41,7 @@ from ..core import (
     PoleSearchError,
     Rod2D,
 )
-from .fdfd import assemble, bilinear_sample, colocate
+from .fdfd import assemble
 from .roots import distinct_roots, newton_root, winding_number
 
 log = logging.getLogger("qnm.modes")
@@ -83,18 +83,9 @@ class ModeField:
     residual: float = float("nan")
     pole_iterates: tuple = ()
 
-    def colocated(self):
-        """Cell-centered (E_x, E_y) arrays."""
-        return colocate(self.ex, self.ey)
-
     def value_at(self, points):
         """Bilinearly interpolated mode vector at arbitrary points, (N, 2)."""
-        xc, yc = self.grid.cell_centers()
-        exc, eyc = self.colocated()
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        fx = bilinear_sample(xc, yc, exc, points)
-        fy = bilinear_sample(xc, yc, eyc, points)
-        return np.stack([fx, fy], axis=-1)
+        return self.grid.sample_nodes(self.ex, self.ey, points)
 
     def scaled(self, factor, norm_state=None, norm_value=None):
         return replace(self, ex=self.ex * factor, ey=self.ey * factor,
@@ -115,8 +106,9 @@ def _default_probe(geometry):
 
 
 def driven_response(grid, geometry, material, bg, omega, symmetry=None,
-                    source=None, probe=None) -> complex:
-    """Field response at ``probe`` to a fixed interior source at ``omega``.
+                    source=None) -> complex:
+    """Field response at an interior probe point to a fixed interior source
+    at ``omega``.
 
     The analytic continuation of this scalar in complex frequency has poles
     at the quasinormal-mode eigenfrequencies; :func:`find_qnm` drives its
@@ -124,9 +116,8 @@ def driven_response(grid, geometry, material, bg, omega, symmetry=None,
     single-pole lineshape fits over real frequency.
     """
     source = source or _default_source(geometry)
-    probe = probe or _default_probe(geometry)
     op, b, x = _resolve(grid, geometry, material, bg, omega, symmetry, source)
-    return op.sampling_vector(probe, (0.0, 1.0)) @ x
+    return op.sampling_vector(_default_probe(geometry), (0.0, 1.0)) @ x
 
 
 def _gauge_fix(ex, ey):
@@ -137,7 +128,7 @@ def _gauge_fix(ex, ey):
 
 
 def find_qnm(grid, geometry, material, bg, search: PoleSearch,
-             symmetry=None, source=None, probe=None) -> ModeField:
+             symmetry=None, source=None) -> ModeField:
     """Locate one quasinormal mode: eigenfrequency and raw field profile.
 
     Newton iteration on the inverse of the driven response at a fixed
@@ -153,7 +144,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     ``verify_isolation``) lies in the search basin.
     """
     source = source or _default_source(geometry)
-    probe = probe or _default_probe(geometry)
+    probe = _default_probe(geometry)
     last = {}  # operator (holding its factor) and field of the newest iterate
 
     def inv_response(omega):
@@ -181,7 +172,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     if search.verify_isolation:
         _check_isolation(
             lambda w: 1.0 / driven_response(grid, geometry, material, bg, w,
-                                            symmetry, source, probe),
+                                            symmetry, source),
             omega_pole, basin, search)
 
     return ModeField(grid=grid, geometry=geometry, bg=bg, ex=ex, ey=ey,

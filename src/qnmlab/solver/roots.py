@@ -52,17 +52,17 @@ def newton_root(fdf, z0, rel_tol=1e-10, max_iter=40, basin_radius=None):
     raise _exhausted(max_iter, z0, history)
 
 
-def secant_root(f, z0, rel_tol=1e-10, max_iter=40, basin_radius=None,
-                first_step=1e-4):
+def secant_root(f, z0, rel_tol=1e-10, max_iter=40, basin_radius=None):
     """Secant iteration for a root of ``f`` near ``z0`` in the complex plane.
 
-    Stops when the step falls below ``rel_tol * |z|``.  Iterates leaving the
-    disk of ``basin_radius`` around ``z0`` abort the search.
+    The second start point is ``z0 (1 + 1e-4 (1 + i/2))``.  Stops when the
+    step falls below ``rel_tol * |z|``.  Iterates leaving the disk of
+    ``basin_radius`` around ``z0`` abort the search.
     """
     if basin_radius is None:
         basin_radius = 0.5 * abs(z0)
     z_prev = z0
-    z = z0 * (1.0 + first_step * (1.0 + 0.5j))
+    z = z0 * (1.0 + 1e-4 * (1.0 + 0.5j))
     f_prev = f(z_prev)
     f_cur = f(z)
     history = [z_prev, z]
@@ -90,9 +90,9 @@ def winding_number(f, center, radius, n_samples=64):
     return int(round(np.sum(dphase) / (2 * np.pi)))
 
 
-def distinct_roots(f, seeds, rel_tol=1e-9, merge_tol=1e-6, basin_radius=None,
-                   center=None):
-    """Run secant from several seeds and merge the distinct converged roots."""
+def distinct_roots(f, seeds, rel_tol=1e-9, basin_radius=None, center=None):
+    """Run secant from several seeds and merge the converged roots that lie
+    within 1e-6 relative of each other."""
     roots = []
     for s in seeds:
         try:
@@ -103,6 +103,6 @@ def distinct_roots(f, seeds, rel_tol=1e-9, merge_tol=1e-6, basin_radius=None,
         if center is not None and basin_radius is not None \
                 and abs(z - center) > basin_radius:
             continue
-        if not any(abs(z - r) <= merge_tol * abs(z) for r in roots):
+        if not any(abs(z - r) <= 1e-6 * abs(z) for r in roots):
             roots.append(z)
     return roots

@@ -47,6 +47,24 @@ def test_parse_quantity_units():
         parse_quantity("10 parsec", "length")
     with pytest.raises(ConfigError):
         parse_quantity(10e-9, "length")
+    for bad in ("nan nm", "inf nm", "-inf THz"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_quantity(bad, "length" if "nm" in bad else "frequency")
+
+
+def test_nonfinite_length_and_zero_oracle_stride_rejected(tmp_path):
+    # all three used to pass RunConfig: a NaN half-width then failed in
+    # round() and a zero cell size divided by zero, both with a traceback;
+    # a zero stride divided by zero once the oracle ran
+    path = _coarse_config(tmp_path, oracle={"enabled": True,
+                                            "spectrum_stride": 0})
+    with pytest.raises(ConfigError, match="spectrum_stride"):
+        RunConfig.load(path)
+    for grid in ({"h": "10 nm", "half_width": "nan nm"},
+                 {"h": "0 nm", "half_width": "800 nm"}):
+        path = _coarse_config(tmp_path, grid=grid)
+        assert main(["find", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 def test_unknown_keys_rejected(tmp_path):

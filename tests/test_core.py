@@ -181,6 +181,23 @@ def test_gridspec_validation_and_helpers():
         PmlSpec(cells=4)
     with pytest.raises(DomainError):
         GridSpec(extent=((0, 1e-7), (0, 1e-7)), h=-1e-9)
+    # the paper grid (as configs/paper-2d-rod.json builds it) and this one:
+    # node and cell-centre axes are exactly antisymmetric, so a node on a
+    # boundary classifies like its mirror image, and the mirror-reduced
+    # operator's lattice (the tail halves) is exactly (i + offset) h
+    paper = round(1050e-9 / 2.5e-9) * 2.5e-9
+    for g in (GridSpec(extent=((-paper, paper), (-paper, paper)), h=2.5e-9,
+                       pml=PmlSpec(cells=24)), grid):
+        xi, xh, yi, yh = g.node_axes()
+        nx, ny = g.n_cells
+        assert (len(xi), len(xh), len(yi), len(yh)) == (nx + 1, nx, ny + 1, ny)
+        for axis in (xi, xh, yi, yh):
+            assert np.array_equal(axis, -axis[::-1])
+        for axis, off in ((xi, 0.0), (xh, 0.5)):
+            tail = axis[nx // 2:]
+            assert np.array_equal(tail, (np.arange(len(tail)) + off) * g.h)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(g.cell_centers(), (xh, yh)))
 
 
 def test_dipole_normalizes_orientation():

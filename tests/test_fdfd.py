@@ -38,7 +38,7 @@ def _plane_wave_residual(h):
     k = BG.wavenumber(OMEGA)
     # sample E = y-hat exp(ikx) on the E_y nodes
     x = np.zeros(op.n_e, dtype=complex)
-    xi, yh = op._xi, op._yh
+    xi, _, _, yh = grid.node_axes()
     ey = np.exp(1j * k * xi[1:op.nx])[:, None] * np.ones(op.ny)[None, :]
     x[op.n_ex:] = ey.ravel()
     r = op.apply(x)
@@ -180,6 +180,16 @@ def test_symmetry_rejects_off_plane_source():
                       symmetry="x")
     with pytest.raises(DomainError):
         op.dipole_rhs(Dipole(position=(40e-9, 0), orientation=(0, 1)))
+    # an off-centre rod would be solved together with its mirror image
+    off = Rod2D(40e-9, 160e-9, center=(40e-9, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for sym in ("x", "xy"):
+            with pytest.raises(DomainError, match="mirror plane"):
+                assemble(grid, off, DrudeModel(1.26e16, 7e13), BG, OMEGA,
+                         symmetry=sym)
+        assemble(grid, off, DrudeModel(1.26e16, 7e13), BG, OMEGA,
+                 symmetry="y")
 
 
 def test_near_to_far_matches_direct_field():
