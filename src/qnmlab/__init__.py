@@ -10,7 +10,6 @@ from .core import (
     DomainError,
     DrudeModel,
     GridSpec,
-    HalfSpace,
     PmlSpec,
     PoleSearchError,
     QnmError,
@@ -28,7 +27,6 @@ __all__ = [
     "DomainError",
     "DrudeModel",
     "GridSpec",
-    "HalfSpace",
     "PmlSpec",
     "PoleSearchError",
     "QnmError",

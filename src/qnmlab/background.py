@@ -6,13 +6,12 @@ The electric-field Green function used everywhere in this package satisfies
 
 so in a uniform background of index ``n_b`` (``eps_b = n_b^2``, in-medium
 wavenumber ``k = n_b w / c``) it is ``G^B = k0^2 (1 + grad grad / k^2) g``
-with ``g`` the outgoing scalar Green function of the Helmholtz operator:
-``g = (i/4) H0^(1)(kR)`` in 2D and ``g = exp(ikR)/(4 pi R)`` in 3D.  With
-this normalization ``G`` carries units of 1/length^dim and the coincident
-imaginary part (the homogeneous LDOS normalizer) is finite:
+with ``g = (i/4) H0^(1)(kR)`` the outgoing scalar Green function of the 2D
+Helmholtz operator.  With this normalization ``G`` carries units of
+1/length^2 and the coincident imaginary part (the homogeneous LDOS
+normalizer) is finite:
 
-    2D:  Im{n . G^B(r, r) . n} = (w/c)^2 / 8
-    3D:  Im{n . G^B(r, r) . n} = n_b w^3 / (6 pi c^3)
+    Im{n . G^B(r, r) . n} = (w/c)^2 / 8
 
 All evaluators broadcast over leading point axes and are pure functions.
 """
@@ -25,7 +24,6 @@ from .core import Background, DomainError
 
 __all__ = [
     "green_b_2d",
-    "green_b_3d",
     "im_green_b_diag",
     "green_qs",
     "scalar_g_2d",
@@ -74,36 +72,16 @@ def green_b_2d(r1, r2, omega, bg: Background):
     return g[0] if scalar else g
 
 
-def green_b_3d(r1, r2, omega, bg: Background):
-    """Free-space 3x3 background dyadic at real frequency ``omega``.
+def im_green_b_diag(omega, bg: Background, dim=2):
+    """Coincident-point ``Im{n . G^B(r, r) . n}`` (isotropic, any unit n).
 
-    ``G = k0^2 e^{ikR}/(4 pi R) [ (1 + i/(kR) - 1/(kR)^2) 1
-    + (-1 - 3i/(kR) + 3/(kR)^2) u u ]``.
+    Independent of ``bg``; ``dim`` accepts only 2, the package's dimension.
     """
-    R, rho, scalar = _pair_geometry(r1, r2)
-    k = bg.wavenumber(omega)
-    k0 = omega / C0
-    z = k * R
-    pref = np.exp(1j * z) / (4 * np.pi * R)
-    t1 = 1.0 + 1j / z - 1.0 / z**2
-    t2 = -1.0 - 3j / z + 3.0 / z**2
-    eye = np.eye(3)
-    uu = rho[..., :, None] * rho[..., None, :]
-    g = pref[..., None, None] * (t1[..., None, None] * eye
-                                 + t2[..., None, None] * uu)
-    g = k0**2 * g
-    return g[0] if scalar else g
-
-
-def im_green_b_diag(omega, bg: Background, dim):
-    """Coincident-point ``Im{n . G^B(r, r) . n}`` (isotropic, any unit n)."""
+    if dim != 2:
+        raise DomainError(f"only dim=2 is supported, got {dim}")
     if omega <= 0:
         raise DomainError("omega must be positive")
-    if dim == 2:
-        return (omega / C0) ** 2 / 8.0
-    if dim == 3:
-        return bg.n_b * omega**3 / (6.0 * np.pi * C0**3)
-    raise DomainError(f"dim must be 2 or 3, got {dim}")
+    return (omega / C0) ** 2 / 8.0
 
 
 def image_strength(material, bg: Background, omega):

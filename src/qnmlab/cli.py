@@ -11,7 +11,10 @@ Artifacts in the output directory:
 * ``distance.csv``    on-resonance enhancement vs standoff per model
 * ``propagator.csv``  normalized |G_yy|^2 vs distance per model
 * ``report.json``     eigenfrequency, Q, pole-search iterates, V_eff,
-                      caustic radius, tolerance flags
+                      caustic radius, the 2D Purcell factor
+                      ``purcell_factor`` and, with a dipole configured,
+                      ``eta_dipole`` (eta at the first dipole, on resonance;
+                      see :mod:`qnmlab.observables`), tolerance flags
 
 ``run`` and ``find`` first delete every artifact of an earlier run, so the
 directory never mixes two runs.
@@ -29,6 +32,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.constants import c as C0
 
 from .background import im_green_b_diag
 from .config import ConfigError, RunConfig
@@ -38,9 +42,11 @@ from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
     born_green_model,
     distance_scan,
+    eta_factor,
     far_green_model,
     mode_green_model,
     out_green_model,
+    purcell_factor,
     se_enhancement,
     se_from_scattered,
 )
@@ -117,6 +123,9 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
     grid = cfg.grid
     if resolution_override is not None:
         h = resolution_override
+        if not (np.isfinite(h) and h > 0):
+            raise ConfigError(f"--resolution-override must be a finite "
+                              f"positive length, got {h!r}")
         half = round(grid.extent[0][1] / h) * h
         grid = GridSpec(extent=((-half, half), (-half, half)), h=h,
                         pml=grid.pml)
@@ -187,12 +196,22 @@ def stage_modevol(cfg: RunConfig, outdir):
         r_c = caustic_radius(scan, rtol=cfg.norm_rtol)
     except QnmError:
         r_c = float("nan")
-    _update_report(outdir, {
+    freq = mode.frequency
+    updates = {
         "v_eff_m2": mv.v_eff,
         "v_q_m2": {"real": mv.v_q.real, "imag": mv.v_q.imag},
         "r0_nm": [c * 1e9 for c in mv.r0],
         "r_caustic_nm": r_c * 1e9,
-    })
+        "purcell_factor": purcell_factor(freq.quality_factor, mv.v_eff,
+                                         2 * np.pi * C0 / freq.omega,
+                                         cfg.bg.n_b),
+    }
+    if cfg.dipoles:
+        r_a, n_a = cfg.dipoles[0]
+        updates["eta_dipole"] = eta_factor(
+            mode.value_at([r_a])[0], n_a, freq.omega, mv.v_eff, freq.omega,
+            freq.gamma, cfg.bg.eps_b)
+    _update_report(outdir, updates)
     return mv
 
 
@@ -315,7 +334,7 @@ def stage_propagate(cfg: RunConfig, outdir):
     omega = freq.omega
     (bx0, bx1), _ = cfg.geometry.bounding_box
     r_a = (bx1 + cfg.prop_source_standoff, 0.0)
-    norm = im_green_b_diag(omega, cfg.bg, dim=2) ** 2
+    norm = im_green_b_diag(omega, cfg.bg) ** 2
     n_y = (0.0, 1.0)
     rows = []
     oracle_vals = {}
@@ -348,7 +367,7 @@ def _oracle_propagator(cfg, r_a, omega, checkpoints):
     ntf = NearToFar((sol.ex_scat, sol.ey_scat), grid, cfg.bg, omega,
                     rect=((-contour_half, contour_half),
                           (-contour_half, contour_half)))
-    norm = im_green_b_diag(omega, cfg.bg, dim=2) ** 2
+    norm = im_green_b_diag(omega, cfg.bg) ** 2
     out = {}
     for i in checkpoints:
         if i >= len(cfg.prop_distances):

@@ -116,6 +116,15 @@ class RunConfig:
                 "propagator", "variants", "oracle"}
 
     def __init__(self, data: dict):
+        try:
+            self._parse(data)
+        except ConfigError:
+            raise
+        except DomainError as exc:
+            # a value a core constructor rejects is a bad configuration
+            raise ConfigError(f"config: {exc}") from exc
+
+    def _parse(self, data):
         _check_keys(data, self.TOP_KEYS, "config")
         for key in ("geometry", "material", "background", "grid",
                     "pole_search"):

@@ -263,21 +263,6 @@ class Cylinder2D:
         return SurfacePlane(tuple(np.asarray(self.center) + self.radius * n), tuple(n))
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Material half-space bounded by a plane; ``inside`` is behind it."""
-
-    surface: SurfacePlane
-
-    def inside(self, r):
-        return self.surface.signed_distance(r) < 0
-
-    def nearest_tangent_plane(self, r) -> SurfacePlane:
-        if self.surface.signed_distance(r) <= 0:
-            raise DomainError("nearest_tangent_plane expects an exterior point")
-        return self.surface
-
-
 # ---------------------------------------------------------------------------
 # grid description
 

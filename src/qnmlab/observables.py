@@ -25,12 +25,18 @@ model used here decomposes as background plus a scattered part, so F_a is
 computed as 1 + Im{n . G_scat . n} / Im{n . G^B . n} and the background
 singularity never enters.
 
-For 3D inputs the closed-form Purcell factor F_P = (3/4 pi^2)(lambda/n_b)^3
-Q/V_eff and the deviation factor eta reproduce the direct evaluation
-exactly: F_a = F_P eta + 1 is an algebraic identity, kept here as a strong
-cross-check of the formula plumbing.  In 2D no closed-form Purcell
-prefactor is published, so 2D rates are always computed from the Green
-functions directly.
+The closed-form Purcell factor and the deviation factor are the 2D forms,
+with the 2D coincident value Im{n . G^B . n} = (w/c)^2 / 8:
+
+    F_P = 8 Q c^2 / (eps_b w_c^2 V_eff) = (2/pi^2) (lambda_b/n_b)^2 Q/V_eff
+    eta = eps_b w_c gamma_c V_eff Im{(n . f)^2 / (w_t (w_t - w))}
+
+with w_t = w_c - i gamma_c and lambda_b = 2 pi c / w_c.  For a field value
+f at the emitter, F_P eta + 1 equals the single-mode rate
+``se_from_scattered(lorentzian_prefactor * (n . f)^2, w, bg)`` exactly: the
+raw mode value gives the ``f`` model, the regularized field the ``far``
+model.  At the hot spot r0 of ``normalize.mode_volume``, with n along
+f(r0) and f(r0)^2 real, eta(w_c) = 1/(1 + (gamma_c/w_c)^2).
 """
 
 from dataclasses import dataclass
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import green_qs, im_green_b_diag
-from .core import Background, ComplexFrequency, DomainError
+from .core import Background, DomainError
 from .dyson import (
     RegularizedField,
     green_back_1,
@@ -53,7 +59,6 @@ __all__ = [
     "out_green_model",
     "born_green_model",
     "se_enhancement",
-    "se_far_3d",
     "se_from_scattered",
     "purcell_factor",
     "eta_factor",
@@ -132,52 +137,40 @@ def born_green_model(reg: RegularizedField) -> GreenModel:
     return GreenModel("far+born", scat, reg.bg)
 
 
-def se_from_scattered(scat_nn, omega, bg: Background, dim=2):
+def se_from_scattered(scat_nn, omega, bg: Background):
     """F_a from the projected scattered Green value n . G_scat . n."""
-    return 1.0 + np.imag(scat_nn) / im_green_b_diag(omega, bg, dim)
+    return 1.0 + np.imag(scat_nn) / im_green_b_diag(omega, bg)
 
 
-def se_enhancement(model: GreenModel, r_a, n_a, omega, dim=2):
+def se_enhancement(model: GreenModel, r_a, n_a, omega):
     """Relative emission rate of a dipole against the homogeneous rate."""
     n = np.asarray(n_a, dtype=float)
     n = n / np.linalg.norm(n)
     scat = model.scattered(r_a, r_a, omega)
-    return se_from_scattered(n @ scat @ n, omega, model.bg, dim)
-
-
-def se_far_3d(field_value, n_a, omega, omega_c, gamma_c, bg: Background):
-    """3D far-model emission rate from a regularized-field value:
-    ``1 + Im{n . L(w) F F . n} / (n_b w^3 / 6 pi c^3)``."""
-    n = np.asarray(n_a, dtype=float)
-    n = n / np.linalg.norm(n)
-    f = np.asarray(field_value, dtype=complex)
-    lor = lorentzian_prefactor(ComplexFrequency(omega_c, gamma_c), omega)
-    scat_nn = lor * (n @ f) ** 2
-    return 1.0 + np.imag(scat_nn) / im_green_b_diag(omega, bg, dim=3)
+    return se_from_scattered(n @ scat @ n, omega, model.bg)
 
 
 def purcell_factor(q, v_eff, lambda_b, n_b):
-    """Peak-enhancement closed form ``(3/4 pi^2)(lambda/n_b)^3 Q/V_eff``
-    (3D quantities)."""
+    """Peak-enhancement closed form ``(2/pi^2)(lambda_b/n_b)^2 Q/V_eff``."""
     if q <= 0 or v_eff <= 0 or lambda_b <= 0 or n_b <= 0:
         raise DomainError("purcell_factor requires positive inputs")
-    return 3.0 / (4.0 * np.pi**2) * (lambda_b / n_b) ** 3 * q / v_eff
+    return 2.0 / np.pi**2 * (lambda_b / n_b) ** 2 * q / v_eff
 
 
 def eta_factor(field_value, n_a, omega, v_eff, omega_c, gamma_c, eps_b):
     """Deviation of the emitter from the hot spot, orientation and detuning.
 
-    ``field_value`` is the regularized-mode vector at the emitter (the raw
-    mode may substitute close to the resonator).  Defined so that
-    ``F_P * eta + 1`` reproduces the far-model emission rate (3D forms).
+    ``field_value`` is the mode vector at the emitter: the raw mode value
+    for the ``f`` model, the regularized field for ``far``.  Defined so that
+    ``F_P * eta + 1`` reproduces that model's emission rate.
     """
     n = np.asarray(n_a, dtype=float)
     n = n / np.linalg.norm(n)
     f = np.asarray(field_value, dtype=complex)
     wt = omega_c - 1j * gamma_c
     proj = (n @ f) ** 2
-    return float(v_eff * omega_c**2 * gamma_c / omega
-                 * np.imag(eps_b * proj / (wt * (wt - omega))))
+    return float(eps_b * omega_c * gamma_c * v_eff
+                 * np.imag(proj / (wt * (wt - omega))))
 
 
 def distance_scan(models, path, n_a, omega, oracle=None,

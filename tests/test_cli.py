@@ -175,6 +175,33 @@ def test_resolution_override(tmp_path):
     assert mode.grid.h == pytest.approx(20e-9)
 
 
+@pytest.mark.parametrize("command", ["find", "run"])
+def test_resolution_override_must_be_finite_positive(tmp_path, command):
+    # 0 used to end in a ZeroDivisionError and nan in a ValueError
+    path = _coarse_config(tmp_path, dipoles=[])
+    for bad in ("0", "nan", "inf", "-10e-9"):
+        assert main([command, "--config", str(path), "--out",
+                     str(tmp_path / "out"),
+                     f"--resolution-override={bad}"]) == 2, bad
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "pml_cells", 4),
+    ("geometry", "width", "-10 nm"),
+    ("background", "n", 0),
+], ids=["pml_cells", "width", "n"])
+def test_constructor_rejection_is_config_error(tmp_path, section, key, value):
+    # a value a core constructor rejects exits 2 (bad configuration), not 1
+    data = json.loads(pathlib.Path("configs/paper-2d-rod.json").read_text())
+    data[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)
+    assert main(["find", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 # -- golden artifacts ---------------------------------------------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -250,6 +277,17 @@ def test_golden_artifacts_unchanged(golden_run):
     assert report["oracle_checks"]
     assert met == all(c["within_10pct"]
                       for c in report["oracle_checks"].values())
+
+
+def test_report_closed_form_matches_spectrum_on_resonance(golden_run):
+    # F_P eta + 1 at the first dipole is the f-model rate of the spectrum's
+    # middle row, which sits exactly on w_c
+    _, out = golden_run
+    report = json.loads((out / "report.json").read_text())
+    header, vals = _read_csv(out / "spectrum.csv")
+    f_a_f = vals[len(vals) // 2, header.split(",").index("f_a_f")]
+    assert report["purcell_factor"] * report["eta_dipole"] + 1 == \
+        pytest.approx(f_a_f, rel=1e-12)
 
 
 def test_threaded_spectrum_matches_serial(golden_run, tmp_path):

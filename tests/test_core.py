@@ -10,7 +10,6 @@ from qnmlab.core import (
     DomainError,
     DrudeModel,
     GridSpec,
-    HalfSpace,
     PmlSpec,
     Rod2D,
     SurfacePlane,
@@ -138,9 +137,10 @@ def test_cylinder_and_halfspace_inside():
     cyl = Cylinder2D(radius=30e-9)
     assert cyl.inside(np.array([0.0, 0.0]))
     assert not cyl.inside(np.array([30e-9, 1e-12]))
-    hs = HalfSpace(SurfacePlane(point=(0, 0), normal=(0, 1)))
-    assert hs.inside(np.array([3e-9, -1e-9]))
-    assert not hs.inside(np.array([3e-9, 1e-9]))
+    # the half-space behind a surface plane has negative signed distance
+    plane = SurfacePlane(point=(0, 0), normal=(0, 1))
+    assert plane.signed_distance(np.array([3e-9, -1e-9])) < 0
+    assert plane.signed_distance(np.array([3e-9, 1e-9])) > 0
 
 
 def test_nearest_tangent_plane_faces_and_corner():

@@ -1,10 +1,15 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name it exports exists.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 ``src/qnmlab`` is parsed with ``ast``, and an imported name counts as used
 when it appears anywhere in the module as a name or as the root of an
 attribute chain.  Package ``__init__.py`` files re-export by importing, and
 names listed in ``__all__`` are exports, so both are exempt.
+
+The converse guards deletions: each name in a module's ``__all__`` must be
+bound at the module's top level, and each name a package ``__init__.py``
+imports from a module of the package must be bound there.
 """
 
 import ast
@@ -14,6 +19,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qnmlab"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ALL_FILES = sorted(SRC.rglob("*.py"))
+PACKAGES = sorted(SRC.rglob("__init__.py"))
 
 
 def _imported(tree):
@@ -57,3 +64,72 @@ def test_checker_flags_unused_and_accepts_used():
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(tree):
+    """Names bound at the top level of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def stale_exports(source):
+    """Names listed in ``__all__`` that the module does not bind."""
+    tree = ast.parse(source)
+    return sorted(_exported(tree) - _defined(tree))
+
+
+def missing_reexports(init_path):
+    """(module, name) of each name a package ``__init__.py`` imports from
+    one of the package's own modules that the module does not bind."""
+    missing = []
+    for node in ast.parse(init_path.read_text()).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level):
+            continue
+        base = init_path.parent
+        for _ in range(node.level - 1):
+            base = base.parent
+        target = base.joinpath(*node.module.split("."))
+        path = target / "__init__.py" if target.is_dir() \
+            else target.with_suffix(".py")
+        defined = _defined(ast.parse(path.read_text()))
+        missing += [(node.module, a.name) for a in node.names
+                    if a.name not in defined]
+    return sorted(missing)
+
+
+def test_export_checkers_flag_missing_names(tmp_path):
+    src = ("from a import b\nc: int = 1\nd, (e, f) = 1, (2, 3)\n"
+           "def g(): pass\nclass H: pass\n"
+           "__all__ = ['b', 'c', 'e', 'g', 'H', 'gone']\n")
+    assert stale_exports(src) == ["gone"]
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "mod.py").write_text("def kept(): pass\n")
+    (pkg / "sub" / "__init__.py").write_text(
+        "from ..mod import kept, dropped\nfrom .leaf import x\n")
+    (pkg / "sub" / "leaf.py").write_text("x = 1\n")
+    assert missing_reexports(pkg / "sub" / "__init__.py") == \
+        [("mod", "dropped")]
+
+
+@pytest.mark.parametrize("path", ALL_FILES,
+                         ids=[str(p.relative_to(SRC)) for p in ALL_FILES])
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGES,
+                         ids=[str(p.relative_to(SRC)) for p in PACKAGES])
+def test_reexports_exist(path):
+    assert missing_reexports(path) == []

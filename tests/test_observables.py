@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from qnmlab.core import Background, DomainError
-from qnmlab.dyson import RegularizedField
+from qnmlab.core import Background, ComplexFrequency, DomainError
+from qnmlab.dyson import RegularizedField, lorentzian_prefactor
+from qnmlab.normalize import mode_volume
 from qnmlab.observables import (
     GreenModel,
     born_green_model,
@@ -14,53 +15,63 @@ from qnmlab.observables import (
     out_green_model,
     purcell_factor,
     se_enhancement,
-    se_far_3d,
+    se_from_scattered,
 )
 
 
 def test_purcell_factor_basics():
     lam = 900e-9
-    f1 = purcell_factor(10.0, 1e-20, lam, 1.5)
-    assert purcell_factor(20.0, 1e-20, lam, 1.5) == pytest.approx(2 * f1)
+    f1 = purcell_factor(10.0, 1e-14, lam, 1.5)
+    assert purcell_factor(20.0, 1e-14, lam, 1.5) == pytest.approx(2 * f1)
     # algebraic identity point: V_eff chosen so F_P = 1
-    v = 3 / (4 * np.pi**2) * (lam / 1.5) ** 3 * 10.0
+    v = 2 / np.pi**2 * (lam / 1.5) ** 2 * 10.0
     assert purcell_factor(10.0, v, lam, 1.5) == pytest.approx(1.0)
+    # the same value in resonance-frequency form, 8 Q c^2 / (eps_b w_c^2 V)
+    w_c = 2 * np.pi * C0 / lam
+    assert f1 == pytest.approx(8 * 10.0 * C0**2 / (1.5**2 * w_c**2 * 1e-14),
+                               rel=1e-12)
     with pytest.raises(DomainError):
-        purcell_factor(-1.0, 1e-20, lam, 1.5)
+        purcell_factor(-1.0, 1e-14, lam, 1.5)
     with pytest.raises(DomainError):
         purcell_factor(10.0, 0.0, lam, 1.5)
 
 
+def _closed_form(field, n_a, omega, v_eff, freq, bg):
+    """F_P eta + 1 for a field value at the emitter."""
+    f_p = purcell_factor(freq.quality_factor, v_eff,
+                         2 * np.pi * C0 / freq.omega, bg.n_b)
+    return f_p * eta_factor(field, n_a, omega, v_eff, freq.omega, freq.gamma,
+                            bg.eps_b) + 1.0
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_purcell_eta_decomposition_is_algebraic_identity(seed):
-    # F_P eta + 1 reproduces the direct far-model rate to rounding (3D)
+    # F_P eta + 1 reproduces the single-mode rate to rounding
     rng = np.random.default_rng(seed)
     bg = Background(rng.uniform(1.0, 2.0))
     omega_c = rng.uniform(1.0, 4.0) * 1e15
-    gamma_c = omega_c / rng.uniform(5.0, 40.0)
+    freq = ComplexFrequency(omega_c, omega_c / rng.uniform(5.0, 40.0))
     omega = omega_c * rng.uniform(0.7, 1.3)
-    v_eff = 10 ** rng.uniform(-24, -20)
-    field = rng.normal(size=3) + 1j * rng.normal(size=3)
-    n_a = rng.normal(size=3)
+    v_eff = 10 ** rng.uniform(-16, -12)
+    field = rng.normal(size=2) + 1j * rng.normal(size=2)
+    n_a = rng.normal(size=2)
     n_a /= np.linalg.norm(n_a)
 
-    q = omega_c / (2 * gamma_c)
-    lam_b = 2 * np.pi * C0 / omega_c
-    f_p = purcell_factor(q, v_eff, lam_b, bg.n_b)
-    eta = eta_factor(field, n_a, omega, v_eff, omega_c, gamma_c, bg.eps_b)
-    direct = se_far_3d(field, n_a, omega, omega_c, gamma_c, bg)
-    assert f_p * eta + 1.0 == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    direct = se_from_scattered(
+        lorentzian_prefactor(freq, omega) * (n_a @ field) ** 2, omega, bg)
+    assert _closed_form(field, n_a, omega, v_eff, freq, bg) == pytest.approx(
+        direct, rel=1e-12, abs=1e-12)
 
 
 def test_eta_orthogonal_orientation_vanishes():
-    field = np.array([0.0, 3.0 + 1.0j, 0.0])
-    eta = eta_factor(field, (1, 0, 0), 2e15, 1e-21, 2e15, 1e14, 2.25)
+    field = np.array([0.0, 3.0 + 1.0j])
+    eta = eta_factor(field, (1, 0), 2e15, 1e-14, 2e15, 1e14, 2.25)
     assert eta == 0.0
 
 
 def test_eta_far_detuning_rolls_off():
-    field = np.array([0.0, 2.0 + 0.5j, 0.0])
-    args = dict(n_a=(0, 1, 0), v_eff=1e-21, omega_c=2e15, gamma_c=1e14,
+    field = np.array([0.0, 2.0 + 0.5j])
+    args = dict(n_a=(0, 1), v_eff=1e-14, omega_c=2e15, gamma_c=1e14,
                 eps_b=2.25)
     on = abs(eta_factor(field, omega=2e15, **args))
     off = abs(eta_factor(field, omega=6e15, **args))
@@ -96,6 +107,25 @@ def models(rod_pipeline):
         "out": out_green_model(reg),
         "born": born_green_model(reg),
     }
+
+
+def test_closed_form_reproduces_pipeline_mode_rate(models, rod_pipeline):
+    # the 2D closed form on the pipeline's own normalized mode: F_P eta + 1
+    # is the f-model rate, and at the hot spot eta is close to 1
+    mode, bg = rod_pipeline["mode"], rod_pipeline["bg"]
+    freq = mode.frequency
+    mv = mode_volume(mode, bg)
+    f0 = mode.value_at([mv.r0])[0]
+    n0 = np.real(f0) / np.linalg.norm(np.real(f0))
+    for r_a, n_a in ((mv.r0, n0), ((0.0, 50.4e-9), (0.0, 1.0))):
+        field = mode.value_at([r_a])[0]
+        for omega in (freq.omega, freq.omega + freq.gamma):
+            assert _closed_form(field, n_a, omega, mv.v_eff, freq, bg) == \
+                pytest.approx(se_enhancement(models["f"], r_a, n_a, omega),
+                              rel=1e-12)
+    eta0 = eta_factor(f0, n0, freq.omega, mv.v_eff, freq.omega, freq.gamma,
+                      bg.eps_b)
+    assert abs(eta0 - 1.0) < 0.01
 
 
 def test_orientation_covariance(models, rod_pipeline):
