@@ -10,7 +10,8 @@ Artifacts in the output directory:
 * ``spectrum.csv``    emission enhancement vs frequency per Green model
 * ``distance.csv``    on-resonance enhancement vs standoff per model
 * ``propagator.csv``  normalized |G_yy|^2 vs distance per model
-* ``report.json``     eigenfrequency, Q, pole-search iterates, V_eff,
+* ``report.json``     eigenfrequency, Q, pole-search iterates and the
+                      frequencies it factorized at (``shifts_thz``), V_eff,
                       caustic radius, the 2D Purcell factor
                       ``purcell_factor`` and, with a dipole configured,
                       ``eta_dipole`` (eta at the first dipole, on resonance;
@@ -137,16 +138,20 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
     save_mode(mode, os.path.join(outdir, MODE_FILE))
     freq = mode.frequency
     its = mode.pole_iterates
+
+    def thz(zs):
+        return [[z.real / (2 * np.pi * 1e12), z.imag / (2 * np.pi * 1e12)]
+                for z in zs]
     _update_report(outdir, {
         "eigenfrequency_thz": {"real": freq.omega / (2 * np.pi * 1e12),
                                "imag": -freq.gamma / (2 * np.pi * 1e12)},
         "quality_factor": freq.quality_factor,
         "pole_residual": mode.residual,
         "pole_search": {
-            "iterates_thz": [[z.real / (2 * np.pi * 1e12),
-                              z.imag / (2 * np.pi * 1e12)] for z in its],
+            "iterates_thz": thz(its),
             "step_rel": [abs(z1 - z0) / abs(z1)
                          for z0, z1 in zip(its, its[1:])],
+            "shifts_thz": thz(mode.pole_shifts),
         },
         "zero_contrast": False,
     })

@@ -1,22 +1,22 @@
 """Quasinormal-mode extraction by complex-frequency pole search.
 
-The driven problem ``A(w) x = b`` with a fixed interior source has a
-response ``r(w) = u . x(w)`` whose poles are the resonator eigenfrequencies.
-Newton's method drives ``1/r(w)`` to zero in the complex plane; its step is
-``w <- w + r/r'``.  Each iterate costs one factorization of ``A(w)``.  The
-operator is complex-symmetric, so the derivative comes from the adjoint
-solution ``y = A^{-1} u`` (one more triangular solve with the same factor):
-``r' = y . (b' - A' x)``, with ``b' = 2 b / w`` because the source scales
-with ``k0^2`` and ``A' x`` a central difference of two assemblies.
+A quasinormal mode is a nonlinear eigenpair, ``A(w) x = 0`` at a complex
+``w``.  Residual inverse iteration (Neumaier, SIAM J. Numer. Anal. 22, 914
+(1985); Guettel & Tisseur, Acta Numerica 26, 1 (2017)) finds pole and
+profile together with one factorization of ``A`` at a shift ``s``, the
+guess.  Each outer iterate
 
-Nothing is factorized again at the converged pole.  The last iterate's
-field is already dominated by the resonant mode; one residual inverse
-iteration step with the last factor (Neumaier, SIAM J. Numer. Anal. 22, 914
-(1985)), ``x <- x - A(w_k)^{-1} A(w) x`` at the reported pole ``w``, strips
-the non-resonant part the source drove, and the result is taken as the
-(unnormalized) mode profile.  The source is placed with the symmetry of the
-target mode - by default a y-oriented point source at the resonator center,
-which couples to the fundamental plasmon of a rod.
+* moves ``w`` to the root of the Rayleigh functional ``x^T A(w) x = 0``
+  nearest the current ``w`` (a secant on function values; the operator is
+  complex-symmetric, so no left vector is needed), then
+* corrects the vector, ``x <- x - A(s)^{-1} A(w) x``, and rescales it.
+
+The vector starts from a driven solve, two solves with the shift's factor
+of a fixed interior source placed with the symmetry of the target mode - by
+default a y-oriented point source at the resonator center, which couples to
+the fundamental plasmon of a rod.  The contraction per step scales with
+``|s - w|``; a step that cuts the eigen-residual ``|A(w) x|`` less than
+tenfold moves the shift to the current ``w`` (one more factorization).
 
 The mode phase gauge makes the largest-magnitude field sample real and
 positive.  Mode files round-trip bit-exactly through a small container
@@ -42,19 +42,23 @@ from ..core import (
     Rod2D,
 )
 from .fdfd import assemble
-from .roots import distinct_roots, newton_root, winding_number
+from .roots import (
+    _check_basin,
+    _exhausted,
+    distinct_roots,
+    secant_root,
+    winding_number,
+)
 
 log = logging.getLogger("qnm.modes")
-
-# relative frequency offset of the central difference for A'(w) x
-_DW_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class PoleSearch:
-    """Pole-search controls: initial guess (complex rad/s), relative
-    frequency tolerance, iteration cap, basin radius (defaults to 25% of the
-    guess magnitude), and the optional isolation verification."""
+    """Pole-search controls: initial guess (complex rad/s, also the first
+    shift), relative frequency tolerance, cap on the outer iterates, basin
+    radius (defaults to 25% of the guess magnitude), and the optional
+    isolation verification."""
 
     omega_guess: complex
     rel_tol: float = 1e-9
@@ -68,8 +72,9 @@ class ModeField:
     """A quasinormal mode on the grid: complex E_x/E_y node arrays (full
     domain, boundary rows included), complex eigenfrequency, the
     normalization state ('raw' or 'normalized' with the norm value used),
-    and the pole-search iterates (complex rad/s, the guess first and the
-    reported pole last; the mode file does not store them)."""
+    the pole-search iterates (complex rad/s, the guess first and the
+    reported pole last) and the frequencies the search factorized at (the
+    guess first); the mode file stores neither."""
 
     grid: GridSpec
     geometry: object
@@ -82,6 +87,7 @@ class ModeField:
     gauge: str = "largest |E| sample real positive"
     residual: float = float("nan")
     pole_iterates: tuple = ()
+    pole_shifts: tuple = ()
 
     def value_at(self, points):
         """Bilinearly interpolated mode vector at arbitrary points, (N, 2)."""
@@ -111,12 +117,12 @@ def driven_response(grid, geometry, material, bg, omega, symmetry=None,
     at ``omega``.
 
     The analytic continuation of this scalar in complex frequency has poles
-    at the quasinormal-mode eigenfrequencies; :func:`find_qnm` drives its
-    inverse to zero.  Exposed separately for diagnostics such as
-    single-pole lineshape fits over real frequency.
+    at the quasinormal-mode eigenfrequencies; the isolation check of
+    :func:`find_qnm` counts the zeros of its inverse.  Exposed separately
+    for diagnostics such as single-pole lineshape fits over real frequency.
     """
     source = source or _default_source(geometry)
-    op, b, x = _resolve(grid, geometry, material, bg, omega, symmetry, source)
+    op, x = _resolve(grid, geometry, material, bg, omega, symmetry, source)
     return op.sampling_vector(_default_probe(geometry), (0.0, 1.0)) @ x
 
 
@@ -131,96 +137,100 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
              symmetry=None, source=None) -> ModeField:
     """Locate one quasinormal mode: eigenfrequency and raw field profile.
 
-    Newton iteration on the inverse of the driven response at a fixed
-    interior source, probed away from the source point (the smooth
-    self-field of the source would otherwise pinch the convergence basin of
-    ``1/response``).  Each iterate factorizes once and gets ``dr/dw`` from
-    an adjoint solve with the same factor; the converged pole is not
-    factorized again, the last iterate's field is refined by one residual
-    inverse iteration step instead (see the module docstring).  Only one
-    factor is alive at a time.  ``symmetry`` ("x", "y", "xy") solves the
-    mirror-reduced problem when geometry and source allow it.  Raises
-    :class:`PoleSearchError` when no pole (or more than one, with
-    ``verify_isolation``) lies in the search basin.
+    Residual inverse iteration on the factor of ``A`` at the guess (see the
+    module docstring): each outer iterate moves ``w`` to the root of the
+    Rayleigh functional of the current vector and corrects the vector with
+    one solve.  The iterates stop at the first relative step below
+    ``rel_tol``; the vector is then refined at that fixed ``w`` while a step
+    still cuts the eigen-residual tenfold.  The factor moves to the current
+    ``w`` (the old one is freed first) when an outer step cuts the
+    eigen-residual less than tenfold.  ``symmetry`` ("x", "y", "xy") solves
+    the mirror-reduced problem when geometry and source allow it.  Raises
+    :class:`PoleSearchError` when an iterate leaves the search basin, when
+    ``max_iter`` outer iterates do not converge, or when more than one pole
+    lies in the basin (with ``verify_isolation``).
     """
     source = source or _default_source(geometry)
-    probe = _default_probe(geometry)
-    last = {}  # operator (holding its factor) and field of the newest iterate
+    sigma = complex(search.omega_guess)
+    basin = search.basin_radius or 0.25 * abs(sigma)
 
-    def inv_response(omega):
-        last.clear()  # free the previous factor before the next one
-        op, x, r, dr = _newton_terms(grid, geometry, material, bg, omega,
-                                     symmetry, source, probe)
-        if r == 0:
-            raise PoleSearchError("driven response vanished; the source does "
-                                  "not couple to a mode near the guess")
-        last.update(op=op, x=x)
+    def operator(w):
+        return assemble(grid, geometry, material, bg, w, symmetry)
+
+    # two solves at the guess: one alone leaves the source's local
+    # self-field dominant, which can throw the first Rayleigh root out of
+    # the basin
+    shifted, x = _resolve(grid, geometry, material, bg, sigma, symmetry,
+                          source)
+    x = _unit(shifted.solve(x))
+    omega, res = sigma, _residual(shifted, x)
+    iterates, shifts = [sigma], [sigma]
+    for _ in range(search.max_iter):
+        omega_new, _ = secant_root(lambda w: x @ operator(w).apply(x), omega,
+                                   rel_tol=search.rel_tol,
+                                   basin_radius=basin)
+        iterates.append(omega_new)
+        _check_basin(omega_new, sigma, basin, iterates)
+        step = abs(omega_new - omega) / abs(omega_new)
+        omega, op = omega_new, operator(omega_new)
+        x, res_new = _rii_step(shifted, op, x)
+        reshift = step > search.rel_tol and res_new > 0.1 * res
         log.debug("pole search: omega %.12g%+.12gi THz, |step|/|omega| "
-                  "%.3e, |r| %.3e", omega.real / (2 * np.pi * 1e12),
-                  omega.imag / (2 * np.pi * 1e12),
-                  abs(r / dr) / abs(omega), abs(r))
-        # Newton on 1/r: the step -(1/r) / (1/r)' is r / r'
-        return 1.0 / r, -dr / r**2
-
-    basin = search.basin_radius or 0.25 * abs(search.omega_guess)
-    omega_pole, iterates = newton_root(
-        inv_response, complex(search.omega_guess), rel_tol=search.rel_tol,
-        max_iter=search.max_iter, basin_radius=basin)
-    ex, ey, res = _refine(last.pop("op"), last.pop("x"), grid, geometry,
-                          material, bg, omega_pole, symmetry)
+                  "%.3e, residual %.3e%s", omega.real / (2 * np.pi * 1e12),
+                  omega.imag / (2 * np.pi * 1e12), step, res_new,
+                  ", re-shift" if reshift else "")
+        res = res_new
+        if step <= search.rel_tol:
+            break
+        if reshift:
+            # rebinding frees the old factor before the next solve
+            # factorizes this operator
+            shifted = op
+            shifts.append(omega)
+    else:
+        raise _exhausted(search.max_iter, sigma, iterates)
+    while True:
+        x_new, res_new = _rii_step(shifted, op, x)
+        if not res_new < 0.1 * res:
+            break
+        x, res = x_new, res_new
+    ex, ey = _gauge_fix(*op.unpack(x))
+    del shifted, op  # the isolation check factorizes on its own
 
     if search.verify_isolation:
         _check_isolation(
             lambda w: 1.0 / driven_response(grid, geometry, material, bg, w,
                                             symmetry, source),
-            omega_pole, basin, search)
+            omega, basin, search)
 
     return ModeField(grid=grid, geometry=geometry, bg=bg, ex=ex, ey=ey,
-                     frequency=ComplexFrequency.from_omega_tilde(omega_pole),
-                     residual=res, pole_iterates=tuple(iterates))
+                     frequency=ComplexFrequency.from_omega_tilde(omega),
+                     residual=float(res), pole_iterates=tuple(iterates),
+                     pole_shifts=tuple(shifts))
 
 
 def _resolve(grid, geometry, material, bg, omega, symmetry, source):
     op = assemble(grid, geometry, material, bg, omega, symmetry)
     # a symmetrized source is fine here: any source coupling to the target
     # parity finds the same pole and mode profile
-    b = op.dipole_rhs(source, allow_symmetrized=True)
-    return op, b, op.solve(b)
+    return op, op.solve(op.dipole_rhs(source, allow_symmetrized=True))
 
 
-def _newton_terms(grid, geometry, material, bg, omega, symmetry, source,
-                  probe):
-    """One Newton iterate: the operator (holding its factor), the field
-    ``x = A^{-1} b``, the response ``r = u . x`` and ``dr/dw``.
-
-    ``A`` is complex-symmetric, so ``u^T A^{-1} = y^T`` with
-    ``y = A^{-1} u``.  ``b``, ``u``, ``y`` and ``A' x`` live only in this
-    frame, so they are gone before the next iterate factorizes.
-    """
-    op, b, x = _resolve(grid, geometry, material, bg, omega, symmetry,
-                        source)
-    u = op.sampling_vector(probe, (0.0, 1.0))
-    y = op.solve(u)
-    dw = _DW_REL * omega
-    dax = (assemble(grid, geometry, material, bg, omega + dw,
-                    symmetry).apply(x)
-           - assemble(grid, geometry, material, bg, omega - dw,
-                      symmetry).apply(x)) / (2 * dw)
-    # the source scales with k0^2, so b' = 2 b / w
-    return op, x, u @ x, y @ (2.0 * b / omega - dax)
+def _unit(x):
+    return x / np.linalg.norm(x)
 
 
-def _refine(op_k, x, grid, geometry, material, bg, omega, symmetry):
-    """One residual inverse iteration step at the pole ``omega`` with the
-    last iterate's factor, ``x <- x - A(w_k)^{-1} A(w) x``; returns the
-    gauge-fixed (ex, ey) and the eigen-residual at ``omega``."""
-    op = assemble(grid, geometry, material, bg, omega, symmetry)
-    x = x - op_k.solve(op.apply(x))
-    # eigen-residual of the extracted profile, relative to the operator scale
-    res = np.linalg.norm(op.apply(x)) / (np.linalg.norm(x)
-                                         * np.abs(op._kdiag).max())
-    ex, ey = _gauge_fix(*op.unpack(x))
-    return ex, ey, float(res)
+def _residual(op, x):
+    """Eigen-residual of a unit vector, relative to the operator scale."""
+    return np.linalg.norm(op.apply(x)) / np.abs(op._kdiag).max()
+
+
+def _rii_step(shifted, op, x):
+    """One residual inverse iteration step ``x <- x - A(s)^{-1} A(w) x``
+    with the held factor of ``A(s)``; returns the unit vector and its
+    eigen-residual at ``w``."""
+    x = _unit(x - shifted.solve(op.apply(x)))
+    return x, _residual(op, x)
 
 
 def _check_isolation(inv_response, omega_pole, basin, search):

@@ -1,11 +1,10 @@
 """Small complex-plane root utilities for the pole searches.
 
-:func:`newton_root` needs ``f`` and its derivative at each iterate; the
-QNM pole search gets the derivative of its driven response from one extra
-solve with the factor it already has (see :mod:`.modes`).
-:func:`secant_root` needs only ``f`` and serves the analytic cylinder
-series and the multi-seed isolation check.  Both share the stopping rule
-(step below ``rel_tol * |z|``), the basin check and the error messages.
+:func:`secant_root` needs only function values.  It finds the Rayleigh
+functional's root in each iterate of the QNM pole search (see
+:mod:`.modes`), the poles of the analytic cylinder series, and the roots of
+the multi-seed isolation check.  The pole search shares its basin check and
+error messages (:func:`_check_basin`, :func:`_exhausted`).
 """
 
 import numpy as np
@@ -24,32 +23,6 @@ def _exhausted(max_iter, z0, history):
     return PoleSearchError(
         f"no root found within {max_iter} iterations near {z0}; "
         f"trajectory: {history}")
-
-
-def newton_root(fdf, z0, rel_tol=1e-10, max_iter=40, basin_radius=None):
-    """Newton iteration for a root of ``f`` near ``z0`` in the complex plane.
-
-    ``fdf(z)`` returns ``(f(z), f'(z))``; each iterate costs one call.
-    Stops when the step falls below ``rel_tol * |z|`` and returns the
-    stepped iterate (``fdf`` is not called there) with the trajectory.
-    Iterates leaving the disk of ``basin_radius`` around ``z0`` abort the
-    search.
-    """
-    if basin_radius is None:
-        basin_radius = 0.5 * abs(z0)
-    z = z0
-    history = [z]
-    for _ in range(max_iter):
-        f, df = fdf(z)
-        if df == 0:
-            raise PoleSearchError(f"Newton stalled at {z}")
-        step = f / df
-        z = z - step
-        history.append(z)
-        _check_basin(z, z0, basin_radius, history)
-        if abs(step) <= rel_tol * abs(z):
-            return z, history
-    raise _exhausted(max_iter, z0, history)
 
 
 def secant_root(f, z0, rel_tol=1e-10, max_iter=40, basin_radius=None):

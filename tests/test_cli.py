@@ -211,9 +211,12 @@ GOLDEN_CSVS = ("modevol.csv", "spectrum.csv", "distance.csv",
 
 def _golden_config(tmp_path):
     # every Green model plus the oracle; the standoffs keep each dipole
-    # inside the oracle grid
+    # inside the oracle grid; the mirror reduction keeps the mode to the
+    # y-dipole's parity, free of its degenerate partner's admixture
     return _coarse_config(
         tmp_path,
+        pole_search={"guess": {"real": "293 THz", "imag": "-31 THz"},
+                     "symmetry": "xy"},
         variants=["f", "far", "out", "far+born"],
         oracle={"enabled": True, "spectrum_stride": 2,
                 "scan_checkpoints": [0, 1]},
@@ -359,3 +362,7 @@ def test_find_starts_fresh_and_reports_pole_search(tmp_path):
     # the last step met the configured tolerance, the ones before did not
     tol = RunConfig.load(path).pole_rel_tol
     assert steps[-1] <= tol < min(steps[:-1], default=np.inf)
+    # the search factorized first at the guess, later only at iterates
+    shifts = search["shifts_thz"]
+    assert shifts[0] == its[0] == [293.0, -31.0]
+    assert all(z in its[:-1] for z in shifts)

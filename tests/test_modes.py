@@ -27,12 +27,7 @@ from qnmlab.solver import (
     save_mode,
 )
 from qnmlab.solver.mie import mie_pole
-from qnmlab.solver.roots import (
-    distinct_roots,
-    newton_root,
-    secant_root,
-    winding_number,
-)
+from qnmlab.solver.roots import distinct_roots, secant_root, winding_number
 
 BG = Background(1.5)
 MAT = ConstantMaterial(9.0)
@@ -40,8 +35,8 @@ CYL = Cylinder2D(radius=150e-9)
 GUESS = 2.4e15 - 0.35e15j
 
 # the paper rod on a coarse h = 5 nm grid, mirror-reduced, guessed near its
-# pole; ROD_POLE is what the secant search (five factorizations plus one
-# more at the pole) found on this grid from this guess
+# pole; ROD_POLE is what a secant search on the inverse driven response
+# (six factorizations) found on this grid from this guess
 ROD = Rod2D(width=10e-9, length=80e-9)
 DRUDE = DrudeModel(omega_p=1.26e16, gamma_d=7e13)
 ROD_GUESS = 2 * np.pi * (358e12 - 25e12j)
@@ -109,6 +104,12 @@ def test_mode_symmetry_reduction_matches_full(cylinder_modes):
     assert abs(m_q.frequency.omega_tilde - full) / abs(full) < 1e-7
 
 
+# the rod of the Lorentzian test: its guess is 3.6 % from the pole, the near
+# guess 2e-5
+LORENTZ_GUESS = 2 * np.pi * (400e12 - 35e12j)
+LORENTZ_NEAR = 2 * np.pi * (386.8e12 - 30.3e12j)
+
+
 def test_single_pole_lorentzian_fit_of_rod_response():
     # the rod plasmon is spectrally isolated: the scattered response at an
     # exterior probe over omega_c +- 1.5 gamma_c fits one pole plus a smooth
@@ -131,7 +132,7 @@ def test_single_pole_lorentzian_fit_of_rod_response():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mode = find_qnm(grid, rod, mat, BG,
-                        PoleSearch(omega_guess=2 * np.pi * (400e12 - 35e12j)),
+                        PoleSearch(omega_guess=LORENTZ_GUESS),
                         symmetry="xy")
         wt = mode.frequency.omega_tilde
         ws = wt.real + np.linspace(-1.5, 1.5, 9) * abs(wt.imag)
@@ -146,12 +147,11 @@ def test_single_pole_lorentzian_fit_of_rod_response():
     assert np.abs(fit - resp).max() < 0.05 * np.abs(resp).max()
 
 
-def _find_rod(verify_isolation=False):
+def _find_rod(grid=None, guess=ROD_GUESS, **search):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return find_qnm(_grid(5e-9, width=2.1e-6, pml=24), ROD, DRUDE, BG,
-                        PoleSearch(omega_guess=ROD_GUESS,
-                                   verify_isolation=verify_isolation),
+        return find_qnm(grid or _grid(5e-9, width=2.1e-6, pml=24), ROD,
+                        DRUDE, BG, PoleSearch(omega_guess=guess, **search),
                         symmetry="xy")
 
 
@@ -162,35 +162,68 @@ class _Factor:
         self.solve = lu.solve
 
 
-def test_newton_search_factorizes_three_times_one_factor_at_a_time(
-        monkeypatch, caplog):
-    factors = []
-    alive_before = []
+@pytest.fixture
+def factors(monkeypatch):
+    """Weak references to every factor made, and for each the number of
+    factors still alive when it was made."""
+    made, alive_before = [], []
     splu = spla.splu
 
     def tracked_splu(*args, **kwargs):
-        alive_before.append(sum(f() is not None for f in factors))
+        alive_before.append(sum(f() is not None for f in made))
         factor = _Factor(splu(*args, **kwargs))
-        factors.append(weakref.ref(factor))
+        made.append(weakref.ref(factor))
         return factor
 
     monkeypatch.setattr(spla, "splu", tracked_splu)
+    return made, alive_before
+
+
+def test_pole_search_factorizes_once_one_factor_at_a_time(factors, caplog):
+    made, alive_before = factors
     with caplog.at_level(logging.DEBUG, logger="qnm.modes"):
         mode = _find_rod()
-    assert len(factors) <= 3
+    assert len(made) <= 3
+    assert len(made) == 1
     assert max(alive_before) == 0
-    assert all(f() is None for f in factors)
+    assert all(f() is None for f in made)
     assert mode.residual < 1e-12
     pole = mode.frequency.omega_tilde
     assert abs(pole - ROD_POLE) <= 1e-9 * abs(ROD_POLE)
     assert mode.pole_iterates[0] == ROD_GUESS
     assert mode.pole_iterates[-1] == pole
-    # one DEBUG line per evaluated iterate
+    assert mode.pole_shifts == (ROD_GUESS,)
+    # one DEBUG line per outer iterate
     lines = [r.getMessage() for r in caplog.records
              if r.name == "qnm.modes" and r.levelno == logging.DEBUG]
-    assert len(lines) == len(mode.pole_iterates) - 1 == len(factors)
-    assert all("THz" in line and "|step|/|omega|" in line and "|r|" in line
+    assert len(lines) == len(mode.pole_iterates) - 1
+    assert all("THz" in line and "|step|/|omega|" in line
+               and "residual" in line and "re-shift" not in line
                for line in lines)
+
+
+def test_far_guess_reshifts_once_and_finds_the_near_guess_pole(factors,
+                                                               caplog):
+    made, alive_before = factors
+    grid = _grid(2.5e-9, width=0.9e-6)
+    with caplog.at_level(logging.DEBUG, logger="qnm.modes"):
+        far = _find_rod(grid, LORENTZ_GUESS)
+    assert 1 <= len(made) <= 2
+    assert max(alive_before) == 0
+    assert far.pole_shifts[0] == LORENTZ_GUESS
+    assert len(far.pole_shifts) == len(made)
+    assert sum("re-shift" in r.getMessage() for r in caplog.records
+               if r.name == "qnm.modes") == len(made) - 1
+    near = _find_rod(grid, LORENTZ_NEAR)
+    assert len(made) - len(far.pole_shifts) == 1
+    pole = near.frequency.omega_tilde
+    assert abs(far.frequency.omega_tilde - pole) <= 1e-9 * abs(pole)
+
+
+def test_exhausted_pole_search_raises_with_trajectory():
+    with pytest.raises(PoleSearchError, match="within 1 iterations") as err:
+        _find_rod(max_iter=1)
+    assert f"trajectory: [{ROD_GUESS}, " in str(err.value)
 
 
 def test_verify_isolation_accepts_isolated_rod_pole():
@@ -236,29 +269,24 @@ def test_mode_value_interpolation(cylinder_modes):
 # -- root utilities on synthetic responses -----------------------------------
 
 
+def _poly(z):
+    return (z - 2.0 - 1.0j) * (z + 3.0)
+
+
 def test_secant_root_on_polynomial():
-    z, _ = secant_root(lambda z: (z - 2.0 - 1.0j) * (z + 3.0), 2.2 + 0.8j)
+    z, history = secant_root(_poly, 2.2 + 0.8j)
     assert z == pytest.approx(2.0 + 1.0j, rel=1e-9)
-
-
-def _poly_fdf(z):
-    return (z - 2.0 - 1.0j) * (z + 3.0), 2 * z + 1.0 - 1.0j
-
-
-def test_newton_root_on_polynomial():
-    z, history = newton_root(_poly_fdf, 2.2 + 0.8j, rel_tol=1e-12)
-    assert abs(z - (2.0 + 1.0j)) <= 1e-12 * abs(2.0 + 1.0j)
     assert history[0] == 2.2 + 0.8j and history[-1] == z
 
 
-def test_newton_root_leaving_basin_raises():
+def test_secant_root_leaving_basin_raises():
     with pytest.raises(PoleSearchError, match="left the search basin"):
-        newton_root(_poly_fdf, 2.2 + 0.8j, basin_radius=0.01)
+        secant_root(_poly, 2.2 + 0.8j, basin_radius=0.01)
 
 
-def test_newton_root_exhausted_raises():
+def test_secant_root_exhausted_raises():
     with pytest.raises(PoleSearchError, match="within 2 iterations"):
-        newton_root(_poly_fdf, 2.2 + 0.8j, rel_tol=1e-12, max_iter=2)
+        secant_root(_poly, 2.2 + 0.8j, rel_tol=1e-12, max_iter=2)
 
 
 def test_winding_counts_zeros():
