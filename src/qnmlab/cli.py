@@ -262,15 +262,16 @@ def oracle_se(cfg: RunConfig, r_a, n_a, omega):
     return se_from_scattered(sol.self_scattered_green(), omega, cfg.bg)
 
 
+def _face_point(geometry, standoff, axis):
+    """The point ``standoff`` beyond the +x (+y) face, on the centre line."""
+    (_, bx1), (_, by1) = geometry.bounding_box
+    cx, cy = geometry.center
+    return (bx1 + standoff, cy) if axis == "x" else (cx, by1 + standoff)
+
+
 def _scan_path(cfg):
-    (bx0, bx1), (by0, by1) = cfg.geometry.bounding_box
-    path = []
-    for s in cfg.scan_standoffs:
-        if cfg.scan_axis == "x":
-            path.append((bx1 + s, 0.0))
-        else:
-            path.append((0.0, by1 + s))
-    return path
+    return [_face_point(cfg.geometry, s, cfg.scan_axis)
+            for s in cfg.scan_standoffs]
 
 
 def stage_se(cfg: RunConfig, outdir, threads=1):
@@ -337,8 +338,7 @@ def stage_propagate(cfg: RunConfig, outdir):
     models = _build_models(cfg, mode)
     freq = mode.frequency
     omega = freq.omega
-    (bx0, bx1), _ = cfg.geometry.bounding_box
-    r_a = (bx1 + cfg.prop_source_standoff, 0.0)
+    r_a = _face_point(cfg.geometry, cfg.prop_source_standoff, "x")
     norm = im_green_b_diag(omega, cfg.bg) ** 2
     n_y = (0.0, 1.0)
     rows = []
@@ -347,7 +347,7 @@ def stage_propagate(cfg: RunConfig, outdir):
         oracle_vals = _oracle_propagator(cfg, r_a, omega,
                                          cfg.oracle_scan_checkpoints)
     for i, d in enumerate(cfg.prop_distances):
-        r_b = (r_a[0] + d, 0.0)
+        r_b = (r_a[0] + d, r_a[1])
         vals = []
         for m in models:
             g = m.full(np.asarray(r_b), np.asarray(r_a), omega)
@@ -377,7 +377,7 @@ def _oracle_propagator(cfg, r_a, omega, checkpoints):
     for i in checkpoints:
         if i >= len(cfg.prop_distances):
             continue
-        r_b = np.array([r_a[0] + cfg.prop_distances[i], 0.0])
+        r_b = np.array([r_a[0] + cfg.prop_distances[i], r_a[1]])
         if abs(r_b[0]) < contour_half - 10 * grid.h and \
                 abs(r_b[1]) < contour_half - 10 * grid.h:
             scat = sol.scattered_field_at([r_b])[0]

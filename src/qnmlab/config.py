@@ -50,6 +50,18 @@ def parse_quantity(value, kind, where=""):
     return num * units[parts[1]]
 
 
+def _parse_direction(value, where):
+    """An orientation: two finite numbers, not both zero."""
+    try:
+        n = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        n = ()
+    if len(n) != 2 or not np.all(np.isfinite(n)) or not any(n):
+        raise ConfigError(f"{where}: expected two finite numbers, not both "
+                          f"zero, got {value!r}")
+    return n
+
+
 def _check_keys(d, allowed, where):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -155,13 +167,14 @@ class RunConfig:
                               ["500 nm", "600 nm", "700 nm", "800 nm"])]
         self.norm_rtol = float(norm.get("rtol", 0.01))
 
-        self.dipoles = []
+        self.dipoles, checks = [], []
         for i, dd in enumerate(data.get("dipoles", [])):
             _check_keys(dd, {"position", "orientation"}, f"dipoles[{i}]")
             pos = tuple(parse_quantity(v, "length", f"dipoles[{i}].position")
                         for v in dd["position"])
-            self.dipoles.append((pos, tuple(float(v)
-                                            for v in dd["orientation"])))
+            self.dipoles.append((pos, _parse_direction(
+                dd["orientation"], f"dipoles[{i}].orientation")))
+            checks.append((f"dipoles[{i}].position", len(pos) == 2))
 
         spec = data.get("spectrum", {})
         _check_keys(spec, {"half_width_gammas", "points"}, "spectrum")
@@ -177,8 +190,8 @@ class RunConfig:
         self.scan_standoffs = [
             parse_quantity(v, "length", "distance_scan.standoffs")
             for v in scan.get("standoffs", [])]
-        self.scan_orientation = tuple(
-            float(v) for v in scan.get("orientation", [0.0, 1.0]))
+        self.scan_orientation = _parse_direction(
+            scan.get("orientation", [0.0, 1.0]), "distance_scan.orientation")
 
         prop = data.get("propagator", {})
         _check_keys(prop, {"source_standoff", "distances"}, "propagator")
@@ -199,10 +212,19 @@ class RunConfig:
                              "scan_checkpoints"}, "oracle")
         self.oracle_enabled = bool(oracle.get("enabled", False))
         self.oracle_spectrum_stride = int(oracle.get("spectrum_stride", 4))
-        if self.oracle_spectrum_stride < 1:
-            raise ConfigError("oracle.spectrum_stride must be at least 1")
         self.oracle_scan_checkpoints = [
             int(i) for i in oracle.get("scan_checkpoints", [])]
+        for where, ok in checks + [
+                ("geometry.center", len(self.geometry.center) == 2),
+                ("pole_search.rel_tol", 0 < self.pole_rel_tol < np.inf),
+                ("pole_search.max_iter", self.pole_max_iter >= 1),
+                ("normalization.rtol", 0 < self.norm_rtol < np.inf),
+                ("spectrum.points", self.spectrum_points >= 1),
+                ("oracle.spectrum_stride", self.oracle_spectrum_stride >= 1),
+                ("oracle.scan_checkpoints",
+                 min(self.oracle_scan_checkpoints, default=0) >= 0)]:
+            if not ok:
+                raise ConfigError(f"{where} is out of range")
 
     @classmethod
     def load(cls, path):

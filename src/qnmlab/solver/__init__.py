@@ -1,19 +1,17 @@
-"""Frequency-domain Maxwell solver: operator assembly, dipole oracle,
-complex-frequency pole search for quasinormal modes, and the analytic
-cylinder scattering series."""
+"""Frequency-domain Maxwell solver: operator assembly, the dipole oracle
+and its near-to-far transform, quasinormal-mode pole search, and the
+analytic cylinder series with its exact dipole Green function."""
 
 from ..core import bilinear_sample, colocate
 from .fdfd import (
     DipoleSolution,
     DiscreteOperator,
     NearToFar,
-    PlaneWaveSolution,
     assemble,
     curl_cells,
-    poynting_flux,
     solve_dipole,
 )
-from .mie import mie_cylinder, mie_pole
+from .mie import mie_cylinder, mie_pole, mie_scattered_green
 from .modes import (
     ModeField,
     PoleSearch,
@@ -28,7 +26,6 @@ __all__ = [
     "DiscreteOperator",
     "ModeField",
     "NearToFar",
-    "PlaneWaveSolution",
     "PoleSearch",
     "assemble",
     "bilinear_sample",
@@ -39,7 +36,7 @@ __all__ = [
     "load_mode",
     "mie_cylinder",
     "mie_pole",
-    "poynting_flux",
+    "mie_scattered_green",
     "save_mode",
     "solve_dipole",
 ]

@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.constants import c as C0
+from scipy.special import hankel1
 
 from ..core import (
     Background,
@@ -414,8 +415,6 @@ class DipoleSolution:
                 np.asarray(dipole.position)):
             raise DomainError("dipole position lies inside the resonator")
         self.operator = operator
-        self.dipole = dipole
-        self.omega = operator.omega.real
         b = operator.dipole_rhs(dipole)
         x_tot = operator.solve(b)
         x_bg = operator.background_twin().solve(b)
@@ -423,13 +422,8 @@ class DipoleSolution:
         ex_b, ey_b = operator.unpack(x_bg)
         self.ex_scat = self.ex - ex_b
         self.ey_scat = self.ey - ey_b
-        self._w_self = operator.sampling_vector(dipole.position,
-                                                dipole.orientation)
-        self._g_self_scat = self._w_self @ (x_tot - x_bg)
-
-    @property
-    def grid(self):
-        return self.operator.grid
+        self._g_self_scat = operator.sampling_vector(
+            dipole.position, dipole.orientation) @ (x_tot - x_bg)
 
     def self_scattered_green(self) -> complex:
         """n_a . G_scat(r_a, r_a; w) . n_a at the source point."""
@@ -437,10 +431,11 @@ class DipoleSolution:
 
     def scattered_field_at(self, points):
         """Scattered Green column (N, 2) sampled at arbitrary grid points."""
-        return self.grid.sample_nodes(self.ex_scat, self.ey_scat, points)
+        return self.operator.grid.sample_nodes(self.ex_scat, self.ey_scat,
+                                               points)
 
     def total_field_at(self, points):
-        return self.grid.sample_nodes(self.ex, self.ey, points)
+        return self.operator.grid.sample_nodes(self.ex, self.ey, points)
 
 
 def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
@@ -448,52 +443,7 @@ def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
     return DipoleSolution(operator, dipole)
 
 
-# -- contours, fluxes, near-to-far transform ---------------------------------
-
-
-def _contour_samples(fields, grid, rect):
-    """Cell-center points and outward normals of a rectangle (snapped to
-    cell-center lines), with the colocated E_x, E_y and the curl h_z of the
-    node arrays ``fields = (ex, ey)`` there."""
-    ex, ey = fields
-    xc, yc = grid.cell_centers()
-    (rx0, rx1), (ry0, ry1) = rect
-    ix0 = int(np.argmin(np.abs(xc - rx0)))
-    ix1 = int(np.argmin(np.abs(xc - rx1)))
-    jy0 = int(np.argmin(np.abs(yc - ry0)))
-    jy1 = int(np.argmin(np.abs(yc - ry1)))
-    pts, nrm, take = [], [], []
-    ii = np.arange(ix0, ix1 + 1)
-    jj = np.arange(jy0 + 1, jy1)
-    # bottom and top rows
-    for j, ny_ in ((jy0, -1.0), (jy1, 1.0)):
-        pts.append(np.stack([xc[ii], np.full(ii.shape, yc[j])], axis=-1))
-        nrm.append(np.tile([0.0, ny_], (len(ii), 1)))
-        take.append((ii, np.full(ii.shape, j)))
-    # left and right columns (corners excluded, they belong to the rows)
-    for i, nx_ in ((ix0, -1.0), (ix1, 1.0)):
-        pts.append(np.stack([np.full(jj.shape, xc[i]), yc[jj]], axis=-1))
-        nrm.append(np.tile([nx_, 0.0], (len(jj), 1)))
-        take.append((np.full(jj.shape, i), jj))
-    idx = (np.concatenate([t[0] for t in take]),
-           np.concatenate([t[1] for t in take]))
-    exc, eyc = colocate(ex, ey)
-    hz = curl_cells(ex, ey, grid.h)
-    return np.concatenate(pts), np.concatenate(nrm), exc[idx], eyc[idx], \
-        hz[idx]
-
-
-def poynting_flux(solution_fields, grid, rect, omega):
-    """Outward electromagnetic power flux through a rectangle, divided by
-    mu0 omega (the common factor cancels in cross-section ratios).
-
-    ``solution_fields = (ex, ey)`` node arrays of the field whose flux is
-    wanted.  Uses S = Re(E x H*)/2 with H_z = (curl E)_z / (i mu0 omega).
-    """
-    _, nrm, exc, eyc, hz = _contour_samples(solution_fields, grid, rect)
-    sx = -0.5 * np.imag(eyc * np.conj(hz))
-    sy = +0.5 * np.imag(exc * np.conj(hz))
-    return np.sum((sx * nrm[:, 0] + sy * nrm[:, 1])) * grid.h
+# -- near-to-far transform ----------------------------------------------------
 
 
 class NearToFar:
@@ -507,35 +457,48 @@ class NearToFar:
 
     with ``g = (i/4) H0(k|r - r'|)`` and ``dhz/dn' = -k^2 (n' x E)_z``;
     the electric field follows from E = (1/k^2) curl(hz z-hat), applied
-    analytically to the kernel.
+    analytically to the kernel.  The contour runs on the cell centres
+    nearest ``rect``, where ``fields = (ex, ey)`` is colocated.
     """
 
     def __init__(self, fields, grid, bg, omega, rect):
-        from scipy.special import hankel1  # local: keeps module import light
-        self._hankel1 = hankel1
-        pts, nrm, exc, eyc, hz = _contour_samples(fields, grid, rect)
-        self.pts = pts
-        self.nrm = nrm
+        xc, yc = grid.cell_centers()
+        ix0, ix1 = (int(np.argmin(np.abs(xc - v))) for v in rect[0])
+        jy0, jy1 = (int(np.argmin(np.abs(yc - v))) for v in rect[1])
+        pts, nrm, take = [], [], []
+        ii = np.arange(ix0, ix1 + 1)
+        jj = np.arange(jy0 + 1, jy1)
+        # bottom and top rows
+        for j, ny_ in ((jy0, -1.0), (jy1, 1.0)):
+            pts.append(np.stack([xc[ii], np.full(ii.shape, yc[j])], axis=-1))
+            nrm.append(np.tile([0.0, ny_], (len(ii), 1)))
+            take.append((ii, np.full(ii.shape, j)))
+        # left and right columns (corners excluded, they belong to the rows)
+        for i, nx_ in ((ix0, -1.0), (ix1, 1.0)):
+            pts.append(np.stack([np.full(jj.shape, xc[i]), yc[jj]], axis=-1))
+            nrm.append(np.tile([nx_, 0.0], (len(jj), 1)))
+            take.append((np.full(jj.shape, i), jj))
+        idx = tuple(np.concatenate(t) for t in zip(*take))
+        exc, eyc = (f[idx] for f in colocate(*fields))
+        self.pts, self.nrm = np.concatenate(pts), np.concatenate(nrm)
         self.h = grid.h
         self.k = bg.wavenumber(omega)
-        self.hz = hz
+        self.hz = curl_cells(*fields, grid.h)[idx]
         # dhz/dn = -k^2 (n x E)_z = -k^2 (nx Ey - ny Ex)
-        self.dhz = -self.k**2 * (nrm[:, 0] * eyc - nrm[:, 1] * exc)
-        self.rect = rect
+        self.dhz = -self.k**2 * (self.nrm[:, 0] * eyc - self.nrm[:, 1] * exc)
 
     def scattered_field_at(self, points):
         """E_scat at points strictly outside the contour, shape (N, 2)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k = self.k
-        h1 = self._hankel1
         d = points[:, None, :] - self.pts[None, :, :]   # (N, M, 2)
         R = np.sqrt(np.sum(d**2, axis=-1))
         if np.any(R < 2 * self.h):
             raise DomainError("far evaluation point touches the contour")
         u = d / R[..., None]
         z = k * R
-        h0 = h1(0, z)
-        h1v = h1(1, z)
+        h0 = hankel1(0, z)
+        h1v = hankel1(1, z)
         nd = np.sum(u * self.nrm[None, :, :], axis=-1)    # u . n'
         # grad_r g = -(ik/4) H1 u ;  dg/dn' = +(ik/4) H1 (u . n')
         # grad_r (dg/dn') = (ik/4) [ k H1' u (u.n') + H1 (n' - u (u.n'))/R ]
@@ -551,57 +514,3 @@ class NearToFar:
             - grad_g * self.dhz[None, :, None], axis=1)
         # E = (1/k^2) (d hz/dy, -d hz/dx)
         return np.stack([grad_hz[:, 1], -grad_hz[:, 0]], axis=-1) / k**2
-
-
-# -- plane-wave scattering (for the analytic cylinder oracle) -----------------
-
-
-class PlaneWaveSolution:
-    """Scattered-field solve for a unit plane wave incident along +x with E
-    polarized along y, used to validate the solver against the analytic
-    cylinder series."""
-
-    def __init__(self, operator):
-        if operator.symmetry:
-            raise DomainError("plane-wave solve uses the full grid")
-        op = operator
-        self.operator = op
-        k = op.bg.wavenumber(op.omega)
-        self.k = k
-        # contrast source k0^2 (eps - eps_b) E_inc on the resonator nodes
-        b = np.zeros(op.n_e, dtype=complex)
-        k0sq = (op.omega / C0) ** 2
-        eps_c = op.material.eps(op.omega) - op.bg.eps_b
-        # E_y nodes off the PEC boundary columns
-        pts_y = op.grid.node_meshes()[1][1:op.nx]
-        mask_y = op.geometry.inside(pts_y)
-        einc_y = np.exp(1j * k * pts_y[..., 0])
-        by = np.where(mask_y, k0sq * eps_c * einc_y, 0.0)
-        b[op.n_ex:] = by.ravel()
-        # E_inc has no x component for this polarization; E_x rows stay zero
-        x = op.solve(b)
-        self.ex_scat, self.ey_scat = op.unpack(x)
-
-    def cross_sections(self, rect):
-        """(C_ext, C_sca, C_abs): scattering from the scattered-field flux
-        through ``rect``, absorption from the Ohmic volume integral
-        ``(w Im eps / c n_b) Int |E_tot|^2 dA`` (no large-term cancellation),
-        extinction as their sum."""
-        op = self.operator
-        grid = op.grid
-        k = self.k.real
-        omega = op.omega.real
-        p_sca = poynting_flux((self.ex_scat, self.ey_scat), grid, rect,
-                              op.omega)
-        # with the mu0*omega convention of poynting_flux, the unit incident
-        # plane wave carries flux density k/2
-        c_sca = p_sca / (0.5 * k)
-        exc, eyc = colocate(self.ex_scat, self.ey_scat)
-        pts = grid.cell_mesh()
-        mask = op.geometry.inside(pts)
-        einc = np.exp(1j * k * pts[..., 0])
-        e2 = np.abs(exc) ** 2 + np.abs(eyc + einc) ** 2
-        im_eps = float(np.imag(op.material.eps(omega)))
-        c_abs = (omega * im_eps / (C0 * op.bg.n_b)) \
-            * float(np.sum(e2[mask])) * grid.h**2
-        return c_sca + c_abs, c_sca, c_abs

@@ -155,6 +155,9 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     basin = search.basin_radius or 0.25 * abs(sigma)
 
     def operator(w):
+        # each Rayleigh secant starts at the current omega: reuse its operator
+        if w == op.omega:
+            return op
         return assemble(grid, geometry, material, bg, w, symmetry)
 
     # two solves at the guess: one alone leaves the source's local
@@ -165,6 +168,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     x = _unit(shifted.solve(x))
     omega, res = sigma, _residual(shifted, x)
     iterates, shifts = [sigma], [sigma]
+    op = shifted  # the operator at the current omega
     for _ in range(search.max_iter):
         omega_new, _ = secant_root(lambda w: x @ operator(w).apply(x), omega,
                                    rel_tol=search.rel_tol,

@@ -8,6 +8,8 @@ import pytest
 from qnmlab import cli
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
+from qnmlab.observables import se_from_scattered
+from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
 
 def _coarse_config(tmp_path, **overrides):
@@ -202,6 +204,56 @@ def test_constructor_rejection_is_config_error(tmp_path, section, key, value):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("geometry", "center", ["0 nm", "0 nm", "0 nm"]),
+    ("dipoles", "orientation", [0, 0]),
+    ("dipoles", "orientation", [0, 1, 0]),
+    ("dipoles", "orientation", [float("nan"), 1]),
+    ("dipoles", "orientation", ["up", 1]),
+    ("dipoles", "position", ["0 nm"]),
+    ("distance_scan", "orientation", [0.0, 0.0]),
+    ("spectrum", "points", 0),
+    ("pole_search", "max_iter", 0),
+    ("pole_search", "rel_tol", float("nan")),
+    ("pole_search", "rel_tol", 0.0),
+    ("normalization", "rtol", float("inf")),
+    ("normalization", "rtol", -0.01),
+    ("oracle", "scan_checkpoints", [0, -1]),
+], ids=["3-centre", "zero-dipole", "3-vector", "nan-orientation", "word",
+        "1-position", "zero-scan", "no-points", "no-iterations",
+        "nan-rel-tol", "zero-rel-tol", "inf-rtol", "negative-rtol",
+        "negative-checkpoint"])
+def test_values_without_a_meaningful_run_are_config_errors(
+        tmp_path, section, key, value):
+    # each used to pass RunConfig and end in NaN rates, a header-only CSV,
+    # a traceback or failed search (exit 1) or an oracle solve at the wrong
+    # point
+    data = json.loads(_coarse_config(tmp_path).read_text())
+    (data[section][0] if section == "dipoles" else data[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.load(path)
+    assert main(["find", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_scan_points_of_off_centre_rod_sit_at_their_standoffs(tmp_path,
+                                                              axis):
+    cfg = RunConfig.load(_coarse_config(
+        tmp_path,
+        geometry={"type": "rod", "width": "10 nm", "length": "80 nm",
+                  "center": ["30 nm", "100 nm"]},
+        distance_scan={"axis": axis, "standoffs": ["5 nm", "20 nm",
+                                                   "100 nm"]}))
+    path = cli._scan_path(cfg)
+    assert len(path) == len(cfg.scan_standoffs)
+    for standoff, p in zip(cfg.scan_standoffs, path):
+        plane = cfg.geometry.nearest_tangent_plane(np.asarray(p))
+        assert plane.signed_distance(p) == pytest.approx(standoff, rel=1e-12)
+
+
 # -- golden artifacts ---------------------------------------------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -291,6 +343,25 @@ def test_report_closed_form_matches_spectrum_on_resonance(golden_run):
     f_a_f = vals[len(vals) // 2, header.split(",").index("f_a_f")]
     assert report["purcell_factor"] * report["eta_dipole"] + 1 == \
         pytest.approx(f_a_f, rel=1e-12)
+
+
+def test_golden_oracle_matches_cylinder_series(tmp_path):
+    # the h = 10 nm oracle of the golden run against the exact dipole
+    # series at its own frequency and points (no solve): the grid is a few
+    # per cent off, so the far model's 72-91 % gap there is the single-mode
+    # truncation, not the oracle
+    cfg = RunConfig.load(_golden_config(tmp_path))
+    golden = json.loads((GOLDEN / "report.json").read_text())
+    omega = 2 * np.pi * 1e12 * golden["eigenfrequency_thz"]["real"]
+    n = np.asarray(cfg.scan_orientation)
+    for standoff, r in zip(cfg.scan_standoffs, cli._scan_path(cfg)):
+        # (150/170)^200 ~ 1e-11: the cap is enough at 20 nm
+        g = mie_scattered_green(cfg.geometry.radius, cfg.material, cfg.bg,
+                                omega, r, r, n_max=MAX_ORDER)
+        series = se_from_scattered(n @ g @ n, omega, cfg.bg)
+        check = golden["oracle_checks"][f"standoff_{standoff * 1e9:.3g}nm"]
+        assert check["oracle"] == pytest.approx(series, rel=0.05)
+        assert abs(check["far_model"] - series) > 0.5 * series
 
 
 def test_threaded_spectrum_matches_serial(golden_run, tmp_path):

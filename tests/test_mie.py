@@ -2,17 +2,28 @@ import numpy as np
 import pytest
 import warnings
 
+from scipy.special import h1vp, hankel1, jv, jvp
+
+from qnmlab.background import green_b_2d
 from qnmlab.core import (
     Background,
     ConstantMaterial,
     ConvergenceError,
     Cylinder2D,
+    Dipole,
     DrudeModel,
     GridSpec,
     PmlSpec,
 )
-from qnmlab.solver import PlaneWaveSolution, assemble
-from qnmlab.solver.mie import mie_cylinder, mie_pole, mie_scattered_hz
+from qnmlab.observables import se_from_scattered
+from qnmlab.solver import NearToFar, assemble, solve_dipole
+from qnmlab.solver.mie import (
+    MAX_ORDER,
+    _curl_waves,
+    mie_cylinder,
+    mie_pole,
+    mie_scattered_green,
+)
 
 BG = Background(1.5)
 OMEGA = 2 * np.pi * 415.863e12
@@ -47,7 +58,6 @@ def test_series_order_cap_raises():
 
 
 def test_mie_pole_is_denominator_root():
-    from scipy.special import h1vp, hankel1, jv, jvp
     mat = ConstantMaterial(9.0)
     a = 150e-9
     f = mie_pole(a, mat, BG, 1, 2.3e15 - 0.3e15j)
@@ -59,46 +69,108 @@ def test_mie_pole_is_denominator_root():
     assert f.quality_factor == pytest.approx(3.12, abs=0.05)
 
 
-def test_solver_cross_sections_match_series():
-    # staircased grid solve against the analytic series, coarse resolution
-    radius = 30e-9
-    mat = DrudeModel(1.26e16, 7e13)
-    h = 1e-9
-    half = 220e-9
-    grid = GridSpec(extent=((-half, half), (-half, half)), h=h,
-                    pml=PmlSpec(cells=30))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = assemble(grid, Cylinder2D(radius), mat, BG, OMEGA)
-        sol = PlaneWaveSolution(op)
-    rect = ((-120e-9, 120e-9), (-120e-9, 120e-9))
-    c_ext, c_sca, c_abs = sol.cross_sections(rect)
-    ref = mie_cylinder(radius, mat, BG, OMEGA)
-    assert c_ext == pytest.approx(ref["c_ext"], rel=4e-2)
-    assert c_sca == pytest.approx(ref["c_sca"], rel=4e-2)
-    # absorption is the small difference of two large fluxes; first-order
-    assert c_abs == pytest.approx(ref["c_abs"], rel=2e-1)
+# -- the dipole series --------------------------------------------------------
+
+RADIUS = 30e-9
+DRUDE = DrudeModel(1.26e16, 7e13)
+# exterior point pairs, rho1 < rho2 in each pair, off every symmetry axis
+R1 = np.array([[60e-9, 25e-9], [-30e-9, 70e-9], [45e-9, -50e-9]])
+R2 = np.array([[-150e-9, 120e-9], [200e-9, -90e-9], [-40e-9, -260e-9]])
 
 
-def test_scattered_far_field_against_series():
-    # the grid solver's scattered wave matches the series far pattern
-    radius = 30e-9
-    mat = DrudeModel(1.26e16, 7e13)
-    h = 1e-9
-    half = 220e-9
-    grid = GridSpec(extent=((-half, half), (-half, half)), h=h,
-                    pml=PmlSpec(cells=30))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = assemble(grid, Cylinder2D(radius), mat, BG, OMEGA)
-        sol = PlaneWaveSolution(op)
-    from qnmlab.solver import curl_cells, bilinear_sample
-    hz = curl_cells(sol.ex_scat, sol.ey_scat, h)
-    xc, yc = grid.cell_centers()
-    ths = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-    pts = 120e-9 * np.stack([np.cos(ths), np.sin(ths)], axis=-1)
-    num = bilinear_sample(xc, yc, hz, pts)
-    # series hz normalization: incident E_y=1 plane wave has hz = ik e^{ikx}
+def _f_a(g, n):
+    n = np.asarray(n, dtype=float)
+    return se_from_scattered(n @ g @ n, OMEGA, BG)
+
+
+def test_graf_form_of_series_is_background_green():
+    # J_n(k rho1) in place of a_n H_n(k rho1) sums to G^B for rho1 < rho2
     k = BG.wavenumber(OMEGA)
-    ref = 1j * k * mie_scattered_hz(radius, mat, BG, OMEGA, pts)
-    assert np.abs(num - ref).max() < 8e-2 * np.abs(ref).max()
+    orders = np.arange(-60, 61)
+    waves_j = _curl_waves(orders, k, R1, jv, jvp)
+    waves_h = _curl_waves(-orders, k, R2, hankel1, h1vp)
+    g = 0.25j / BG.eps_b * np.einsum("pni,pnj->pij", waves_j, waves_h)
+    g_b = green_b_2d(R1, R2, OMEGA, BG)
+    assert np.abs(g - g_b).max() <= 1e-12 * np.abs(g_b).max()
+
+
+def test_dipole_series_is_reciprocal():
+    g_12 = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, R1, R2)
+    g_21 = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, R2, R1)
+    assert g_12.shape == (3, 2, 2)
+    assert np.abs(g_12 - np.swapaxes(g_21, -1, -2)).max() \
+        <= 1e-12 * np.abs(g_12).max()
+
+
+def test_dipole_series_vanishes_without_contrast():
+    g = mie_scattered_green(RADIUS, ConstantMaterial(BG.eps_b), BG, OMEGA,
+                            R1, R2)
+    assert np.abs(g).max() <= 1e-12 * np.abs(green_b_2d(R1, R2, OMEGA,
+                                                        BG)).max()
+
+
+def test_dipole_series_order_comes_from_the_points():
+    # 5 nm off the surface the terms fall like (30/35)^(2n): the series
+    # needs order 90, and mie_cylinder's order (chosen from |a_n|) is short
+    r = (0.0, RADIUS + 5e-9)
+    g = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, r, r)
+    g_cap = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, r, r,
+                                n_max=MAX_ORDER)
+    n_mie = len(mie_cylinder(RADIUS, DRUDE, BG, OMEGA)["a"]) - 1
+    g_mie = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, r, r, n_max=n_mie)
+    for n in ((1.0, 0.0), (0.0, 1.0)):
+        assert _f_a(g, n) == pytest.approx(_f_a(g_cap, n), rel=1e-10)
+    assert abs(_f_a(g_mie, (1.0, 0.0)) / _f_a(g, (1.0, 0.0)) - 1) > 0.05
+
+
+def test_dipole_series_too_close_raises():
+    r = (RADIUS + 1e-9, 0.0)
+    with pytest.raises(ConvergenceError):
+        mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, r, r)
+
+
+# -- the grid solver against the dipole series -------------------------------
+
+
+@pytest.fixture(scope="module")
+def cylinder_operator():
+    # staircased 30 nm Drude cylinder at h = 1 nm; one factorized operator
+    # (and its background twin) serves every dipole solve below
+    half = 220e-9
+    grid = GridSpec(extent=((-half, half), (-half, half)), h=1e-9,
+                    pml=PmlSpec(cells=30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return assemble(grid, Cylinder2D(RADIUS), DRUDE, BG, OMEGA)
+
+
+def test_solver_emission_matches_dipole_series(cylinder_operator):
+    # at 5 and 10 nm the staircased surface puts the grid 1.5-35 % off
+    for standoff in (20e-9, 50e-9):
+        r = (RADIUS + standoff, 0.0)
+        g = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, r, r)
+        for n in ((1.0, 0.0), (0.0, 1.0)):
+            sol = solve_dipole(cylinder_operator,
+                               Dipole(position=r, orientation=n))
+            f_num = se_from_scattered(sol.self_scattered_green(), OMEGA, BG)
+            assert f_num == pytest.approx(_f_a(g, n), rel=2e-2), standoff
+
+
+def test_scattered_far_field_against_series(cylinder_operator):
+    # the grid's scattered field, on a circle inside the grid and through
+    # the near-to-far transform 2-3 um away, against the series column
+    r_a, n_a = (50e-9, 0.0), np.array([0.0, 1.0])
+    sol = solve_dipole(cylinder_operator, Dipole(position=r_a,
+                                                 orientation=tuple(n_a)))
+    ths = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+    ring = np.stack([np.cos(ths), np.sin(ths)], axis=-1)
+    near = 120e-9 * ring
+    ref = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, near, r_a) @ n_a
+    num = sol.scattered_field_at(near)
+    assert np.abs(num - ref).max() < 3e-2 * np.abs(ref).max()
+    ntf = NearToFar((sol.ex_scat, sol.ey_scat), cylinder_operator.grid, BG,
+                    OMEGA, rect=((-150e-9, 150e-9), (-150e-9, 150e-9)))
+    far = np.resize([2e-6, 2.5e-6, 3e-6], len(ring))[:, None] * ring
+    ref = mie_scattered_green(RADIUS, DRUDE, BG, OMEGA, far, r_a) @ n_a
+    num = ntf.scattered_field_at(far)
+    assert np.abs(num - ref).max() < 3e-2 * np.abs(ref).max()

@@ -202,6 +202,23 @@ def test_pole_search_factorizes_once_one_factor_at_a_time(factors, caplog):
                for line in lines)
 
 
+def test_pole_search_assembles_each_frequency_once(monkeypatch):
+    # each Rayleigh secant starts at the current omega, whose operator the
+    # search already holds: the guess's, then the last iterate's
+    from qnmlab.solver import modes
+    omegas = []
+    assemble = modes.assemble
+
+    def tracked(grid, geometry, material, bg, omega, symmetry=None):
+        omegas.append(complex(omega))
+        return assemble(grid, geometry, material, bg, omega, symmetry)
+
+    monkeypatch.setattr(modes, "assemble", tracked)
+    mode = _find_rod()
+    assert len(omegas) == len(set(omegas))
+    assert set(mode.pole_iterates) <= set(omegas)
+
+
 def test_far_guess_reshifts_once_and_finds_the_near_guess_pole(factors,
                                                                caplog):
     made, alive_before = factors
