@@ -292,8 +292,18 @@ def colocate(ex, ey):
     return 0.5 * (ex[:, :-1] + ex[:, 1:]), 0.5 * (ey[:-1, :] + ey[1:, :])
 
 
-def bilinear_sample(xc, yc, field, points):
-    """Bilinear interpolation of a cell-centered field at arbitrary points."""
+def colocate_at(ex, ey, i, j):
+    """``colocate(ex, ey)`` read at the cells (i, j) only: the same two-node
+    averages, so each value equals the full-array one bit for bit."""
+    return 0.5 * (ex[i, j] + ex[i, j + 1]), 0.5 * (ey[i, j] + ey[i + 1, j])
+
+
+def _bilinear(xc, yc, points, corner):
+    """The one bilinear rule on the cell-center lattice (xc, yc): the lower
+    left straddling cell (i0, j0) of each point, clipped to the grid, and
+    the sum of ``corner(i, j)`` over the four straddling cells with their
+    weights, always in the same order.  ``corner`` returns values of shape
+    (..., N) for the N points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     hx = xc[1] - xc[0]
     hy = yc[1] - yc[0]
@@ -303,10 +313,15 @@ def bilinear_sample(xc, yc, field, points):
     j0 = np.clip(np.floor(v).astype(int), 0, len(yc) - 2)
     wu = u - i0
     wv = v - j0
-    return (field[i0, j0] * (1 - wu) * (1 - wv)
-            + field[i0 + 1, j0] * wu * (1 - wv)
-            + field[i0, j0 + 1] * (1 - wu) * wv
-            + field[i0 + 1, j0 + 1] * wu * wv)
+    return (corner(i0, j0) * (1 - wu) * (1 - wv)
+            + corner(i0 + 1, j0) * wu * (1 - wv)
+            + corner(i0, j0 + 1) * (1 - wu) * wv
+            + corner(i0 + 1, j0 + 1) * wu * wv)
+
+
+def bilinear_sample(xc, yc, field, points):
+    """Bilinear interpolation of a cell-centered field at arbitrary points."""
+    return _bilinear(xc, yc, points, lambda i, j: field[i, j])
 
 
 def interior_fraction(inside, pts, h):
@@ -393,21 +408,37 @@ class GridSpec:
         the paper's 840 x 840 cells it is 11 MB, too much to keep."""
         return _mesh(*self.cell_centers())
 
-    def node_meshes(self):
-        """E_x and E_y node points, shapes (Nx, Ny+1, 2) and (Nx+1, Ny, 2);
-        built on each call."""
+    def node_blocks(self, box):
+        """The E_x and E_y nodes inside ``box`` ((x0, x1), (y0, y1)), edges
+        included: for each component the index pair of slices into its node
+        array and the points of that sub-block, (nx', ny', 2).  A box round
+        a resonator keeps the block small; the full meshes (Nx, Ny+1, 2) and
+        (Nx+1, Ny, 2) are 11 MB each on the paper grid."""
         xi, xh, yi, yh = self.node_axes()
-        return _mesh(xh, yi), _mesh(xi, yh)
+        (x0, x1), (y0, y1) = box
+        blocks = []
+        for xs, ys in ((xh, yi), (xi, yh)):
+            idx = (slice(np.searchsorted(xs, x0), np.searchsorted(xs, x1, "right")),
+                   slice(np.searchsorted(ys, y0), np.searchsorted(ys, y1, "right")))
+            blocks.append((idx, _mesh(xs[idx[0]], ys[idx[1]])))
+        return blocks
 
     def sample(self, cells, points):
         """Bilinear samples of a cell-centered array at ``points`` (N, 2)."""
         return bilinear_sample(*self.cell_centers(), cells, points)
 
     def sample_nodes(self, ex, ey, points):
-        """The E_x/E_y node arrays colocated on cell centers and sampled at
-        ``points``: vectors of shape (N, 2)."""
-        return np.stack([self.sample(c, points) for c in colocate(ex, ey)],
-                        axis=-1)
+        """The E_x/E_y node arrays colocated on cell centers and sampled
+        bilinearly at ``points``: vectors of shape (N, 2).
+
+        Only the four straddling cells of each point are colocated (eight
+        nodes per component), so a call costs O(N), not a pass over the
+        node arrays; each sample equals ``bilinear_sample`` on the full
+        ``colocate(ex, ey)`` arrays bit for bit."""
+        xc, yc = self.cell_centers()
+        both = _bilinear(xc, yc, points,
+                         lambda i, j: np.stack(colocate_at(ex, ey, i, j)))
+        return np.ascontiguousarray(both.T)
 
     @property
     def pml_thickness(self) -> float:

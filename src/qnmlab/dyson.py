@@ -55,6 +55,13 @@ class RegularizedField:
     misses by >10% at this contrast.  Results are memoized per (point,
     frequency); points must lie outside the resonator.  The contrast is
     evaluated at the requested (real) frequency, not at the eigenfrequency.
+
+    The build gathers the source nodes from the node block round the
+    resonator's bounding box (plus one cell), not from the full node
+    arrays.  An evaluation sums the far nodes in one kernel call and the
+    subdivided near nodes in one call per distinct subdivision, then adds
+    the near-node patches to the total one at a time in node order: the
+    result equals a node-by-node loop over the full arrays bit for bit.
     """
 
     def __init__(self, mode: ModeField, geometry, material, bg: Background,
@@ -69,13 +76,19 @@ class RegularizedField:
         self.max_subdiv = max_subdiv
         self.base_subdiv = base_subdiv
         grid = mode.grid
+        h = grid.h
+        # every node with a nonzero interior fraction lies within 1e-6 h of
+        # the resonator, so the block round its bounding box plus one cell
+        # holds them all, in the same order as the full node arrays
+        (bx0, bx1), (by0, by1) = geometry.bounding_box
+        box = ((bx0 - h, bx1 + h), (by0 - h, by1 + h))
         src_pts, src_amp, src_comp = [], [], []
-        for comp, (pts, field) in enumerate(zip(grid.node_meshes(),
-                                                (mode.ex, mode.ey))):
-            frac = interior_fraction(geometry.inside, pts, grid.h)
+        for comp, ((idx, pts), field) in enumerate(zip(grid.node_blocks(box),
+                                                       (mode.ex, mode.ey))):
+            frac = interior_fraction(geometry.inside, pts, h)
             sel = frac > 0
             src_pts.append(pts[sel])
-            src_amp.append(field[sel] * frac[sel])
+            src_amp.append(field[idx][sel] * frac[sel])
             src_comp.append(np.full(sel.sum(), comp))
         self._pts = np.concatenate(src_pts)
         if len(self._pts) == 0:
@@ -95,18 +108,26 @@ class RegularizedField:
             g = green_b_2d(r[None, :], far_pts, omega, self.bg)
             cols = g[np.arange(len(far_pts)), :, self._comp[~near]]
             total += (cols * self._amp[~near, None]).sum(axis=0) * area
-        # near nodes: average the steep kernel over each dual patch with
-        # the node amplitude held fixed
-        for p, amp, comp in zip(self._pts[near], self._amp[near],
-                                self._comp[near]):
-            dist = np.hypot(*(p - r))
-            n_sub = int(np.clip(np.ceil(3.0 * h / max(dist, 0.25 * h)),
-                                self.base_subdiv, self.max_subdiv))
-            off = (np.arange(n_sub) + 0.5) / n_sub - 0.5
+        # near nodes: average the steep kernel over each dual patch, split
+        # into n_sub x n_sub sub-points, with the node amplitude held fixed;
+        # one kernel call per distinct n_sub
+        pts, amp, comp = self._pts[near], self._amp[near], self._comp[near]
+        dist = np.hypot(*(pts - r).T)
+        n_sub = np.clip(np.ceil(3.0 * h / np.maximum(dist, 0.25 * h)),
+                        self.base_subdiv, self.max_subdiv).astype(int)
+        patch = np.empty((len(pts), 2), dtype=complex)
+        for n in np.unique(n_sub):
+            take = np.flatnonzero(n_sub == n)
+            off = (np.arange(n) + 0.5) / n - 0.5
             sx, sy = np.meshgrid(off * h, off * h, indexing="ij")
-            sub = p + np.stack([sx.ravel(), sy.ravel()], axis=-1)
-            g = green_b_2d(r[None, :], sub, omega, self.bg)
-            total += g[:, :, comp].mean(axis=0) * amp * area
+            sub = pts[take, None, :] + np.stack([sx.ravel(), sy.ravel()], axis=-1)
+            g = green_b_2d(r[None, :], sub.reshape(-1, 2), omega, self.bg)
+            g = g.reshape(len(take), n * n, 2, 2)
+            cols = g[np.arange(len(take)), :, :, comp[take]]
+            patch[take] = cols.mean(axis=1) * amp[take, None] * area
+        # added one node at a time in node order, as a running sum, so the
+        # rounding does not depend on how the nodes were grouped
+        total = np.cumsum(np.concatenate([total[None], patch]), axis=0)[-1]
         delta_eps = self.material.eps(omega) - self.bg.eps_b
         return delta_eps * total
 

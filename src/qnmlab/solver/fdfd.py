@@ -48,7 +48,7 @@ from ..core import (
     ConvergenceError,
     DomainError,
     GridSpec,
-    colocate,
+    colocate_at,
     interior_fraction,
 )
 
@@ -478,12 +478,15 @@ class NearToFar:
             pts.append(np.stack([np.full(jj.shape, xc[i]), yc[jj]], axis=-1))
             nrm.append(np.tile([nx_, 0.0], (len(jj), 1)))
             take.append((np.full(jj.shape, i), jj))
-        idx = tuple(np.concatenate(t) for t in zip(*take))
-        exc, eyc = (f[idx] for f in colocate(*fields))
+        i, j = (np.concatenate(t) for t in zip(*take))
+        # colocation and curl_cells at the contour cells only
+        ex, ey = fields
+        exc, eyc = colocate_at(ex, ey, i, j)
         self.pts, self.nrm = np.concatenate(pts), np.concatenate(nrm)
         self.h = grid.h
         self.k = bg.wavenumber(omega)
-        self.hz = curl_cells(*fields, grid.h)[idx]
+        self.hz = ((ey[i + 1, j] - ey[i, j]) / grid.h
+                   - (ex[i, j + 1] - ex[i, j]) / grid.h)
         # dhz/dn = -k^2 (n x E)_z = -k^2 (nx Ey - ny Ex)
         self.dhz = -self.k**2 * (self.nrm[:, 0] * eyc - self.nrm[:, 1] * exc)
 

@@ -90,7 +90,12 @@ class ModeField:
     pole_shifts: tuple = ()
 
     def value_at(self, points):
-        """Bilinearly interpolated mode vector at arbitrary points, (N, 2)."""
+        """Bilinearly interpolated mode vector at arbitrary points, (N, 2).
+
+        Reads only the nodes of the four cells round each point
+        (``GridSpec.sample_nodes``), so a call allocates O(N), never a copy
+        of the node arrays; the values equal sampling the fully colocated
+        arrays bit for bit."""
         return self.grid.sample_nodes(self.ex, self.ey, points)
 
     def scaled(self, factor, norm_state=None, norm_value=None):

@@ -13,6 +13,8 @@ from qnmlab.core import (
     PmlSpec,
     Rod2D,
     SurfacePlane,
+    bilinear_sample,
+    colocate,
     interior_fraction,
 )
 
@@ -198,6 +200,47 @@ def test_gridspec_validation_and_helpers():
             assert np.array_equal(tail, (np.arange(len(tail)) + off) * g.h)
         assert all(np.array_equal(a, b) for a, b in
                    zip(g.cell_centers(), (xh, yh)))
+
+
+def test_sample_nodes_equals_sampling_the_colocated_arrays():
+    # gathering the four straddling cells per point gives the same bytes as
+    # colocating the whole node arrays and sampling them bilinearly
+    grid = GridSpec(extent=((-60e-9, 80e-9), (-50e-9, 50e-9)), h=2e-9,
+                    pml=PmlSpec(cells=8))
+    nx, ny = grid.n_cells
+    rng = np.random.default_rng(7)
+    ex = rng.standard_normal((nx, ny + 1)) + 1j * rng.standard_normal((nx, ny + 1))
+    ey = rng.standard_normal((nx + 1, ny)) + 1j * rng.standard_normal((nx + 1, ny))
+    xc, yc = grid.cell_centers()
+    random = rng.uniform((-60e-9, -50e-9), (80e-9, 50e-9), (50, 2))
+    # beyond every edge and corner: the stencil is clipped to the grid
+    clipped = np.array([(-70e-9, 0.0), (90e-9, 1e-9), (0.0, -55e-9),
+                        (3e-9, 60e-9), (-61e-9, -51e-9), (80e-9, 50e-9)])
+    centres = np.stack(np.meshgrid(xc[::7], yc[::5], indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+    for pts in (random, clipped, centres, centres[:1]):
+        got = grid.sample_nodes(ex, ey, pts)
+        assert got.shape == (len(pts), 2)
+        for c, cells in enumerate(colocate(ex, ey)):
+            want = bilinear_sample(xc, yc, cells, pts)
+            assert got[:, c].tobytes() == want.tobytes()
+
+
+def test_node_blocks_cut_the_node_lattice():
+    grid = GridSpec(extent=((-60e-9, 80e-9), (-50e-9, 50e-9)), h=2e-9,
+                    pml=PmlSpec(cells=8))
+    xi, xh, yi, yh = grid.node_axes()
+    box = ((-5e-9, 9e-9), (-20e-9, 20e-9))
+    for ((ix, iy), pts), (xs, ys) in zip(grid.node_blocks(box),
+                                         ((xh, yi), (xi, yh))):
+        full = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+        assert np.array_equal(pts, full[ix, iy])
+        within = ((full[..., 0] >= box[0][0]) & (full[..., 0] <= box[0][1])
+                  & (full[..., 1] >= box[1][0]) & (full[..., 1] <= box[1][1]))
+        assert within.sum() == pts.shape[0] * pts.shape[1] > 0
+    # a box edge on a node line includes that line
+    _, pts = grid.node_blocks(((-5e-9, 9e-9), (-2e-9, 2e-9)))[0]
+    assert np.array_equal(pts[0, :, 1], [-2e-9, 0.0, 2e-9])
 
 
 def test_dipole_normalizes_orientation():

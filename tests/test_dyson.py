@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnmlab.background import green_b_2d, im_green_b_diag
-from qnmlab.core import ConstantMaterial, DomainError
+from qnmlab.core import ConstantMaterial, DomainError, interior_fraction
 from qnmlab.dyson import RegularizedField, green_back_1, lorentzian_prefactor
 from qnmlab.observables import (
     far_green_model,
@@ -63,6 +63,80 @@ def test_profile_coincides_near_but_decays_far(reg, rod_pipeline):
     growth_f = np.linalg.norm(f_far[1]) / np.linalg.norm(f_far[0])
     growth_g = np.linalg.norm(g_far[1]) / np.linalg.norm(g_far[0])
     assert growth_f > 1.2 * growth_g  # regularization tames the tail
+
+
+def _node_loop_sources(reg):
+    """Source nodes picked from the full node lattices, E_x then E_y."""
+    grid, geometry = reg.mode.grid, reg.geometry
+    xi, xh, yi, yh = grid.node_axes()
+    pts, amp, comp = [], [], []
+    for c, (xs, ys, field) in enumerate(((xh, yi, reg.mode.ex),
+                                         (xi, yh, reg.mode.ey))):
+        mesh = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+        frac = interior_fraction(geometry.inside, mesh, grid.h)
+        sel = frac > 0
+        pts.append(mesh[sel])
+        amp.append(field[sel] * frac[sel])
+        comp.append(np.full(sel.sum(), c))
+    return np.concatenate(pts), np.concatenate(amp), np.concatenate(comp)
+
+
+def _node_loop_eval(reg, r, omega):
+    """F(r, w) with one kernel call per near node, added in node order."""
+    h = reg.mode.grid.h
+    area = h * h
+    d = np.sqrt(np.sum((reg._pts - r) ** 2, axis=-1))
+    near = d < reg.near_factor * h
+    total = np.zeros(2, dtype=complex)
+    far_pts = reg._pts[~near]
+    if len(far_pts):
+        g = green_b_2d(r[None, :], far_pts, omega, reg.bg)
+        cols = g[np.arange(len(far_pts)), :, reg._comp[~near]]
+        total += (cols * reg._amp[~near, None]).sum(axis=0) * area
+    n_subs = []
+    for p, amp, comp in zip(reg._pts[near], reg._amp[near], reg._comp[near]):
+        dist = np.hypot(*(p - r))
+        raw = int(np.ceil(3.0 * h / max(dist, 0.25 * h)))
+        n_sub = int(np.clip(raw, reg.base_subdiv, reg.max_subdiv))
+        n_subs.append((raw, n_sub))
+        off = (np.arange(n_sub) + 0.5) / n_sub - 0.5
+        sx, sy = np.meshgrid(off * h, off * h, indexing="ij")
+        sub = p + np.stack([sx.ravel(), sy.ravel()], axis=-1)
+        g = green_b_2d(r[None, :], sub, omega, reg.bg)
+        total += g[:, :, comp].mean(axis=0) * amp * area
+    delta_eps = reg.material.eps(omega) - reg.bg.eps_b
+    return delta_eps * total, n_subs
+
+
+def test_batched_build_and_quadrature_match_the_node_loop(rod_pipeline):
+    # the block-gathered sources and the one-call-per-subdivision near-node
+    # quadrature give the same bytes as the full-lattice node-by-node loop
+    p = rod_pipeline
+    omega = _omega_c(p)
+    points = [np.array(r) for s in (2.6e-9, 3.3e-9, 5e-9, 7.5e-9, 10e-9,
+                                    20e-9, 50e-9)
+              for r in ((5e-9 + s, 0.0), (5e-9 + s, 37.2e-9),
+                        (-5e-9 - s, -12.9e-9), (1.1e-9, 40e-9 + s))]
+    clipped, used = set(), set()
+    # from 2.6 nm out the raw subdivision ceil(3 h / d) runs 3, 2, 1: the
+    # default range (2, 16) clips the 1s up, the range (1, 2) the 3s down
+    for base_subdiv, max_subdiv in ((2, 16), (1, 2)):
+        reg = RegularizedField(p["mode"], p["rod"], p["material"], p["bg"],
+                               max_subdiv=max_subdiv, base_subdiv=base_subdiv)
+        for got, want in zip((reg._pts, reg._amp, reg._comp),
+                             _node_loop_sources(reg)):
+            assert got.tobytes() == want.tobytes()
+        for r in points:
+            want, n_subs = _node_loop_eval(reg, r, omega)
+            assert reg._eval_one(r, omega).tobytes() == want.tobytes()
+            for raw, n_sub in n_subs:
+                if raw < reg.base_subdiv:
+                    clipped.add("base")
+                if raw > reg.max_subdiv:
+                    clipped.add("max")
+                used.add(n_sub)
+    assert clipped == {"base", "max"}
+    assert used == {1, 2, 3}
 
 
 def test_cache_reuse_is_deterministic(reg, rod_pipeline):

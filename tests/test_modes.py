@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 import weakref
 
@@ -281,6 +282,29 @@ def test_mode_value_interpolation(cylinder_modes):
     v = m.value_at([(30e-9, 40e-9), (0.0, 100e-9)])
     assert v.shape == (2, 2)
     assert np.all(np.isfinite(v))
+
+
+def test_value_at_reads_a_few_nodes_on_a_paper_size_grid():
+    # one value_at call on the 840 x 840 paper lattice allocates under 1 MB,
+    # against 11 MB for each colocated copy of a node array
+    h = 2.5e-9
+    grid = GridSpec(extent=((-420 * h, 420 * h), (-420 * h, 420 * h)), h=h,
+                    pml=PmlSpec(cells=24))
+    nx, ny = grid.n_cells
+    ex = np.ones((nx, ny + 1), dtype=complex)
+    ey = np.ones((nx + 1, ny), dtype=complex)
+    mode = ModeField(grid=grid, geometry=Rod2D(10e-9, 80e-9), bg=Background(1.5),
+                     ex=ex, ey=2 * ey,
+                     frequency=ComplexFrequency(2.4e15, 1.9e14))
+    mode.value_at([(0.0, 50.4e-9)])  # first call outside the measurement
+    tracemalloc.start()
+    try:
+        v = mode.value_at([(0.0, 50.4e-9)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v, [[1.0, 2.0]])
+    assert peak < 1 << 20
 
 
 # -- root utilities on synthetic responses -----------------------------------
