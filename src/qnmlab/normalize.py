@@ -88,19 +88,21 @@ def _bounding_radius(geometry):
                for x in (bx0, bx1) for y in (by0, by1)), (cx, cy)
 
 
-def _disk_cells(mode: ModeField, clearance):
-    """Masks over the cell centers, inside the resonator and inside the
-    integration disk of ``clearance``, with the disk's radius and center."""
+def _disk_cells(mode: ModeField, clearances):
+    """The resonator mask and the distance of each cell center from the
+    disk center, built once, and the disk radius of each clearance.  Every
+    clearance is checked against the PML before any of them is used."""
     r_bound, center = _bounding_radius(mode.geometry)
-    radius = r_bound + clearance
+    radii = [r_bound + c for c in clearances]
     (ix0, ix1), (iy0, iy1) = mode.grid.interior_box(margin_cells=1)
-    if (center[0] - radius < ix0 or center[0] + radius > ix1
-            or center[1] - radius < iy0 or center[1] + radius > iy1):
-        raise DomainError(
-            f"integration clearance {clearance:.3g} m reaches into the PML")
+    for clearance, radius in zip(clearances, radii):
+        if (center[0] - radius < ix0 or center[0] + radius > ix1
+                or center[1] - radius < iy0 or center[1] + radius > iy1):
+            raise DomainError(
+                f"integration clearance {clearance:.3g} m reaches into the PML")
     pts = mode.grid.cell_mesh()
     rr = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
-    return mode.geometry.inside(pts), rr < radius, radius, center
+    return mode.geometry.inside(pts), rr, radii, center
 
 
 def _colocated_squares(mode: ModeField):
@@ -118,32 +120,44 @@ def _colocated_squares(mode: ModeField):
     return ex[:, :-1] * ex[:, 1:] + ey[:-1, :] * ey[1:, :]
 
 
-def inner_product(mode: ModeField, material, bg: Background,
-                  domain_half_width) -> NormBreakdown:
-    """Unconjugated mode norm over one finite disk-shaped domain."""
+def norm_scan(mode: ModeField, material, bg: Background, widths):
+    """Inner-product breakdowns over a sequence of growing clearances.
+
+    The cell mesh, resonator mask, distance map, colocated squares and
+    dispersion factor are built once per scan; each clearance then costs
+    only its disk mask, its masked sum and its contour.  A clearance whose
+    disk reaches the PML rejects the whole scan before any quadrature.
+    """
+    widths = list(widths)
     h = mode.grid.h
-    inside, mask, radius, center = _disk_cells(mode, domain_half_width)
+    inside, rr, radii, center = _disk_cells(mode, widths)
     omega_t = mode.frequency.omega_tilde
 
     ff = _colocated_squares(mode)
     sigma = np.where(inside, material.sigma(omega_t), bg.eps_b)
-    volume = complex(np.sum(sigma[mask] * ff[mask]) * h * h)
+    weighted = sigma * ff
+    scan = []
+    for width, radius in zip(widths, radii):
+        volume = complex(np.sum(weighted[rr < radius]) * h * h)
 
-    m = int(np.ceil(2 * np.pi * radius / h))
-    th = 2 * np.pi * np.arange(m) / m
-    cpts = np.stack([center[0] + radius * np.cos(th),
-                     center[1] + radius * np.sin(th)], axis=-1)
-    ff_line = mode.grid.sample(ff, cpts)
-    line = np.sum(ff_line) * (2 * np.pi * radius / m)
-    surface = 1j * bg.n_b * C0 / (2.0 * omega_t) * line
+        m = int(np.ceil(2 * np.pi * radius / h))
+        th = 2 * np.pi * np.arange(m) / m
+        cpts = np.stack([center[0] + radius * np.cos(th),
+                         center[1] + radius * np.sin(th)], axis=-1)
+        ff_line = mode.grid.sample(ff, cpts)
+        line = np.sum(ff_line) * (2 * np.pi * radius / m)
+        surface = 1j * bg.n_b * C0 / (2.0 * omega_t) * line
 
-    return NormBreakdown(domain_half_width=domain_half_width,
-                         volume_term=volume, surface_term=surface)
+        scan.append(NormBreakdown(domain_half_width=width,
+                                  volume_term=volume, surface_term=surface))
+    return scan
 
 
-def norm_scan(mode: ModeField, material, bg: Background, widths):
-    """Inner-product breakdowns over a sequence of growing clearances."""
-    return [inner_product(mode, material, bg, w) for w in widths]
+def inner_product(mode: ModeField, material, bg: Background,
+                  domain_half_width) -> NormBreakdown:
+    """Unconjugated mode norm over one finite disk-shaped domain: the
+    one-clearance case of :func:`norm_scan`."""
+    return norm_scan(mode, material, bg, [domain_half_width])[0]
 
 
 def caustic_radius(scan, rtol=0.01):
@@ -218,7 +232,8 @@ def sauvan_norm(mode: ModeField, material, bg: Background,
     surface term.  Analytically identical to ``inner_product(...).total``.
     """
     h = mode.grid.h
-    inside, mask, _, _ = _disk_cells(mode, domain_half_width)
+    inside, rr, (radius,), _ = _disk_cells(mode, [domain_half_width])
+    mask = rr < radius
     omega_t = mode.frequency.omega_tilde
 
     ff = _colocated_squares(mode)

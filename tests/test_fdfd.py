@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import warnings
 
 from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.core import (
     Background,
     ConstantMaterial,
+    Cylinder2D,
     Dipole,
     DomainError,
     DrudeModel,
     GridSpec,
     PmlSpec,
     Rod2D,
+    interior_fraction,
 )
 from qnmlab.solver import (
     NearToFar,
@@ -20,6 +23,7 @@ from qnmlab.solver import (
     curl_cells,
     solve_dipole,
 )
+from qnmlab.solver import fdfd
 
 BG = Background(1.5)
 OMEGA = 2 * np.pi * 415.863e12
@@ -225,3 +229,120 @@ def test_pml_position_insensitivity_of_dipole_field():
     a = run(0.896e-6)
     b = run(1.088e-6)
     assert abs(a - b) / abs(a) < 1e-3
+
+
+def _reference_arrays(op):
+    """The operator's K, M and B as the full-lattice build makes them:
+    interior fractions on every node, B through COO triplets.  Returns
+    (b, kdiag, mdiag, fractions)."""
+    grid, h, w = op.grid, op.h, op.omega
+    (_, x1), (_, y1) = grid.extent
+    nx, ny, iy0 = op.nx, op.ny, op._iy0()
+    nx_full, ny_full = grid.n_cells
+    xi, xh, yi, yh = grid.node_axes()
+    if op.mirror_x:
+        xi, xh = xi[nx_full // 2:], xh[nx_full // 2:]
+    if op.mirror_y:
+        yi, yh = yi[ny_full // 2:], yh[ny_full // 2:]
+    n_b = op.bg.n_b
+    sx_i, sx_h = (fdfd._stretch_profile(xs, op.rx0, x1, not op.mirror_x, True,
+                                        grid.pml, h, n_b, w) for xs in (xi, xh))
+    sy_i, sy_h = (fdfd._stretch_profile(ys, op.ry0, y1, not op.mirror_y, True,
+                                        grid.pml, h, n_b, w) for ys in (yi, yh))
+    eps_b = op.bg.eps_b
+    if op.geometry is None:
+        eps_mnp = eps_b
+        inside = lambda pts: np.zeros(pts.shape[:-1], dtype=bool)
+    else:
+        eps_mnp = op.material.eps(w)
+        inside = op.geometry.inside
+    fracs = []
+
+    def eps_nodes(xs, ys):
+        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+        fracs.append(interior_fraction(inside, pts, h))
+        return eps_b + (eps_mnp - eps_b) * fracs[-1]
+
+    eps_x = eps_nodes(xh, yi[1:ny])
+    eps_y = eps_nodes(xi[iy0:nx], yh)
+    k0sq = (w / 299792458.0) ** 2
+    mult_c = (2 if op.mirror_x else 1) * (2 if op.mirror_y else 1)
+    kx = k0sq * eps_x * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
+    mult_ey = np.full(nx - iy0, mult_c, dtype=float)
+    if op.mirror_x:
+        mult_ey[0] = mult_c / 2
+    ky = k0sq * eps_y * sx_i[iy0:nx, None] * sy_h[None, :] * mult_ey[:, None]
+    kdiag = np.concatenate([kx.ravel(), ky.ravel()])
+    mdiag = mult_c * np.outer(sx_h, sy_h).ravel()
+
+    rows, cols, vals = [], [], []
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    cell = (ii * ny + jj).ravel()
+    ii = ii.ravel(); jj = jj.ravel()
+    inv_sxh = (1.0 / sx_h)[ii] / h
+    inv_syh = (1.0 / sy_h)[jj] / h
+
+    def add(mask, col_idx, val):
+        rows.append(cell[mask]); cols.append(col_idx); vals.append(val[mask])
+
+    m = (ii + 1) <= nx - 1
+    add(m, op._idx_ey(ii[m] + 1, jj[m]), inv_sxh)
+    m = ii >= iy0
+    add(m, op._idx_ey(ii[m], jj[m]), -inv_sxh)
+    m = (jj + 1) <= ny - 1
+    add(m, op._idx_ex(ii[m], jj[m] + 1), -inv_syh)
+    m = jj >= 1
+    add(m, op._idx_ex(ii[m], jj[m]), inv_syh)
+    b = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(op.n_hz, op.n_e))
+    return b, kdiag, mdiag, fracs
+
+
+@pytest.mark.parametrize("symmetry", ["", "x", "y", "xy"])
+@pytest.mark.parametrize("geometry", [None, Rod2D(40e-9, 160e-9),
+                                      Cylinder2D(95e-9)],
+                         ids=["empty", "rod", "cylinder"])
+@pytest.mark.parametrize("omega", [OMEGA, OMEGA * (1 - 0.08j)],
+                         ids=["real", "complex"])
+def test_assembly_is_bit_identical_to_the_full_lattice_build(
+        symmetry, geometry, omega):
+    # h = 10 nm puts the rod's faces on node lines, so its face nodes take
+    # the interior fraction 1/4
+    grid = _empty_grid(0.6e-6, 10e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        op = assemble(grid, geometry, DrudeModel(1.26e16, 7e13), BG, omega,
+                      symmetry=symmetry)
+    b, kdiag, mdiag, fracs = _reference_arrays(op)
+    if isinstance(geometry, Rod2D):
+        assert any(np.any(f == 0.25) for f in fracs)
+    if geometry is not None:
+        assert any(np.any(f == 1.0) for f in fracs)
+    for got, want in ((op._b.data, b.data), (op._b.indices, b.indices),
+                      (op._b.indptr, b.indptr), (op._kdiag, kdiag),
+                      (op._mdiag, mdiag)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_assembly_probes_only_the_nodes_near_the_resonator(monkeypatch):
+    # the paper grid: 840 x 840 cells, 176 000 E nodes per component in the
+    # mirror-reduced quadrant; a full-lattice probe would see them all
+    h = 2.5e-9
+    grid = GridSpec(extent=((-420 * h, 420 * h), (-420 * h, 420 * h)), h=h,
+                    pml=PmlSpec(cells=24))
+    counts = []
+
+    def counting(inside, pts, h):
+        counts.append(pts[..., 0].size)
+        return interior_fraction(inside, pts, h)
+
+    monkeypatch.setattr(fdfd, "interior_fraction", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for symmetry in ("", "xy"):
+            assemble(grid, Rod2D(10e-9, 80e-9), DrudeModel(1.26e16, 7e13),
+                     BG, OMEGA, symmetry=symmetry)
+    assert len(counts) == 4
+    assert max(counts) < 5000

@@ -15,6 +15,7 @@ from qnmlab.core import (
     PmlSpec,
     Rod2D,
 )
+from qnmlab import normalize
 from qnmlab.normalize import (
     NormBreakdown,
     caustic_radius,
@@ -77,6 +78,47 @@ def test_domain_reaching_pml_rejected():
     mode = _synthetic_mode()
     with pytest.raises(DomainError):
         inner_product(mode, ConstantMaterial(4.0), BG, 450e-9)
+
+
+def _reference_breakdown(mode, material, bg, clearance):
+    """One clearance integrated on its own: mesh, masks, squares and the
+    dispersion factor rebuilt from scratch."""
+    h = mode.grid.h
+    radius = mode.geometry.radius + clearance
+    pts = mode.grid.cell_mesh()
+    mask = np.hypot(pts[..., 0], pts[..., 1]) < radius
+    omega_t = mode.frequency.omega_tilde
+    ex, ey = mode.ex, mode.ey
+    ff = ex[:, :-1] * ex[:, 1:] + ey[:-1, :] * ey[1:, :]
+    sigma = np.where(mode.geometry.inside(pts), material.sigma(omega_t),
+                     bg.eps_b)
+    volume = complex(np.sum(sigma[mask] * ff[mask]) * h * h)
+    m = int(np.ceil(2 * np.pi * radius / h))
+    th = 2 * np.pi * np.arange(m) / m
+    cpts = radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    line = np.sum(mode.grid.sample(ff, cpts)) * (2 * np.pi * radius / m)
+    surface = 1j * bg.n_b * 299792458.0 / (2.0 * omega_t) * line
+    return NormBreakdown(clearance, volume, surface)
+
+
+def test_norm_scan_equals_a_per_clearance_loop(cyl_mode):
+    mode, mat = cyl_mode
+    widths = np.arange(100e-9, 750e-9, 100e-9)
+    scan = norm_scan(mode, mat, BG, widths)
+    assert scan == [_reference_breakdown(mode, mat, BG, w) for w in widths]
+    for w, b in zip(widths, scan):
+        assert inner_product(mode, mat, BG, w) == \
+            norm_scan(mode, mat, BG, [w])[0] == b
+
+
+def test_scan_rejects_a_pml_clearance_before_any_quadrature(monkeypatch):
+    mode = _synthetic_mode()
+    squares = []
+    monkeypatch.setattr(normalize, "_colocated_squares",
+                        lambda m: squares.append(m))
+    with pytest.raises(DomainError, match="4.5e-07"):
+        norm_scan(mode, ConstantMaterial(4.0), BG, [250e-9, 300e-9, 450e-9])
+    assert squares == []
 
 
 def test_norm_scan_converges_and_normalizes(cyl_mode):
