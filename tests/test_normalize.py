@@ -82,7 +82,7 @@ def test_domain_reaching_pml_rejected():
 
 def _reference_breakdown(mode, material, bg, clearance):
     """One clearance integrated on its own: mesh, masks, squares and the
-    dispersion factor rebuilt from scratch."""
+    dispersion factor rebuilt for that clearance alone."""
     h = mode.grid.h
     radius = mode.geometry.radius + clearance
     pts = mode.grid.cell_mesh()
