@@ -20,6 +20,12 @@ Artifacts in the output directory:
 ``run`` and ``find`` first delete every artifact of an earlier run, so the
 directory never mixes two runs.
 
+With ``oracle.enabled`` the emission, propagator and validate stages add a
+full-wave reference (:func:`oracle_se`).  Each oracle query factorizes one
+tight grid round the resonator and its dipole, with ``ORACLE_MARGIN``
+between the dipole and the PML; the background self-term comes from a
+small background-only box whose factor is kept per frequency.
+
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
 ``QNM_LOG`` selects the log level.
@@ -28,8 +34,11 @@ formats (17 significant digits), fixed reduction orders, no timestamps.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,7 +46,7 @@ from scipy.constants import c as C0
 
 from .background import im_green_b_diag
 from .config import ConfigError, RunConfig
-from .core import Dipole, GridSpec, QnmError
+from .core import Dipole, DomainError, GridSpec, QnmError
 from .dyson import RegularizedField
 from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
@@ -237,29 +246,71 @@ def _columns(cfg, models):
         + (["oracle"] if cfg.oracle_enabled else [])
 
 
+ORACLE_MARGIN = 100e-9
+# background boxes kept factorized, one per (box, background, frequency):
+# the resonance plus the most recent detuned frequencies
+_BG_BOX_MAX = 4
+_bg_boxes = OrderedDict()
+_bg_lock = threading.Lock()
+
+
 def oracle_grid(cfg: RunConfig, positions):
-    """Grid sized to hold the resonator and the given dipole positions, with
-    350 nm between the outermost of them and the PML."""
+    """Tight grid round the resonator and the given dipole positions: their
+    bounding box widened by ``ORACLE_MARGIN`` plus the PML, each edge
+    snapped outward to a multiple of h.  So every dipole has
+    ``ORACLE_MARGIN`` between it and the PML, and the nodes sit on the
+    lattice of the symmetric grids (see :func:`qnmlab.core.lattice_coords`).
+    """
     h = cfg.grid.h
-    margin = 0.35e-6
-    (bx0, bx1), (by0, by1) = cfg.geometry.bounding_box
-    xs = [bx0, bx1] + [p[0] for p in positions]
-    ys = [by0, by1] + [p[1] for p in positions]
-    pml = cfg.grid.pml
-    half_x = max(max(np.abs(xs)) + margin + pml.cells * h, 64 * h)
-    half_y = max(max(np.abs(ys)) + margin + pml.cells * h, 64 * h)
-    half_x = (round(half_x / h) // 2 + 1) * 2 * h / 2
-    half_y = (round(half_y / h) // 2 + 1) * 2 * h / 2
-    return GridSpec(extent=((-half_x, half_x), (-half_y, half_y)), h=h,
-                    pml=pml)
+    pad = ORACLE_MARGIN + cfg.grid.pml_thickness
+    pts = np.reshape(np.asarray(positions, dtype=float), (-1, 2))
+    extent = []
+    for (b0, b1), coords in zip(cfg.geometry.bounding_box, pts.T):
+        lo = min(b0, *coords) - pad
+        hi = max(b1, *coords) + pad
+        extent.append((h * math.floor(lo / h + 1e-9),
+                       h * math.ceil(hi / h - 1e-9)))
+    return GridSpec(extent=tuple(extent), h=h, pml=cfg.grid.pml)
+
+
+def _background_self_green(cfg, dipole, omega):
+    """n_a . G_bg(r_a, r_a) . n_a of the discrete delta source, from a
+    background-only box spanning +-(ORACLE_MARGIN + PML), snapped to h.
+    The dipole moves into the box by a whole number of cells, so it keeps
+    its place in its cell and its stencil weights.  The box operator and
+    its factor are cached per frequency; a query costs two triangular
+    solves."""
+    h = cfg.grid.h
+    pad = ORACLE_MARGIN + cfg.grid.pml_thickness
+    half = h * math.ceil(pad / h - 1e-9)
+    box = GridSpec(extent=((-half, half), (-half, half)), h=h,
+                   pml=cfg.grid.pml)
+    r_a = np.asarray(dipole.position)
+    moved = Dipole(position=tuple(r_a - h * np.round(r_a / h)),
+                   orientation=dipole.orientation)
+    key = (box, cfg.bg, complex(omega))
+    with _bg_lock:
+        op = _bg_boxes.pop(key, None)
+        if op is None:
+            op = assemble(box, None, None, cfg.bg, omega)
+        _bg_boxes[key] = op
+        while len(_bg_boxes) > _BG_BOX_MAX:
+            _bg_boxes.popitem(last=False)
+        return op.self_green(moved)
 
 
 def oracle_se(cfg: RunConfig, r_a, n_a, omega):
-    """Full-wave reference emission rate: one two-sided linear solve."""
-    grid = oracle_grid(cfg, [r_a])
-    op = assemble(grid, cfg.geometry, cfg.material, cfg.bg, omega)
-    sol = solve_dipole(op, Dipole(position=tuple(r_a), orientation=n_a))
-    return se_from_scattered(sol.self_scattered_green(), omega, cfg.bg)
+    """Full-wave reference emission rate at ``r_a``: the scattered self
+    Green function from one sparse LU of the tight :func:`oracle_grid`,
+    less the background self-term of the cached background box."""
+    dipole = Dipole(position=tuple(r_a), orientation=n_a)
+    if cfg.geometry.inside(np.asarray(dipole.position)):
+        raise DomainError("dipole position lies inside the resonator")
+    op = assemble(oracle_grid(cfg, [r_a]), cfg.geometry, cfg.material,
+                  cfg.bg, omega)
+    g_scat = op.self_green(dipole) - _background_self_green(cfg, dipole,
+                                                            omega)
+    return se_from_scattered(g_scat, omega, cfg.bg)
 
 
 def _face_point(geometry, standoff, axis):
@@ -360,26 +411,43 @@ def stage_propagate(cfg: RunConfig, outdir):
               rows)
 
 
+def _propagator_grid(cfg, r_a):
+    """Symmetric grid of the propagator's full-wave solve: half widths of
+    about (|r| + 350 nm + PML) / 2 over the resonator and ``r_a``, rounded
+    to a multiple of h, at least 33 h.  The near-to-far contour needs the
+    room round the resonator that a tight :func:`oracle_grid` does not
+    leave; ``dipole_rhs`` rejects a source that this grid puts in the
+    PML."""
+    h, pml = cfg.grid.h, cfg.grid.pml
+    halves = [max(max(abs(b0), abs(b1), abs(r)) + 0.35e-6 + pml.cells * h,
+                  64 * h)
+              for (b0, b1), r in zip(cfg.geometry.bounding_box, r_a)]
+    hx, hy = ((round(v / h) // 2 + 1) * h for v in halves)
+    return GridSpec(extent=((-hx, hx), (-hy, hy)), h=h, pml=pml)
+
+
 def _oracle_propagator(cfg, r_a, omega, checkpoints):
     """Total |G_yy|^2 at selected scan indices from one full-wave solve,
-    extended beyond the grid by the near-to-far contour transform."""
+    extended beyond the grid by the near-to-far contour transform.  The
+    contour is a square, centred in the interior box, three quarters of
+    its smaller side wide."""
     from .background import green_b_2d
-    grid = oracle_grid(cfg, [r_a])
+    grid = _propagator_grid(cfg, r_a)
     op = assemble(grid, cfg.geometry, cfg.material, cfg.bg, omega)
     sol = solve_dipole(op, Dipole(position=r_a, orientation=(0.0, 1.0)))
-    (ix0, ix1), (iy0, iy1) = grid.interior_box(margin_cells=4)
-    contour_half = 0.75 * min(ix1, iy1)
+    box = grid.interior_box(margin_cells=4)
+    half = 0.75 * min(hi - lo for lo, hi in box) / 2
+    centre = [(lo + hi) / 2 for lo, hi in box]
     ntf = NearToFar((sol.ex_scat, sol.ey_scat), grid, cfg.bg, omega,
-                    rect=((-contour_half, contour_half),
-                          (-contour_half, contour_half)))
+                    rect=tuple((c - half, c + half) for c in centre))
     norm = im_green_b_diag(omega, cfg.bg) ** 2
     out = {}
     for i in checkpoints:
         if i >= len(cfg.prop_distances):
             continue
         r_b = np.array([r_a[0] + cfg.prop_distances[i], r_a[1]])
-        if abs(r_b[0]) < contour_half - 10 * grid.h and \
-                abs(r_b[1]) < contour_half - 10 * grid.h:
+        if all(abs(v - c) < half - 10 * grid.h
+               for v, c in zip(r_b, centre)):
             scat = sol.scattered_field_at([r_b])[0]
         else:
             scat = ntf.scattered_field_at([r_b])[0]

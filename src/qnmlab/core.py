@@ -267,18 +267,20 @@ class Cylinder2D:
 # grid description
 
 
-def lattice_coords(lo, hi, n, h, offset):
-    """n node coordinates ``lo + (i + offset) h``, computed sign-symmetrically
-    when the extent [lo, hi] is symmetric about zero.
+def lattice_coords(lo, n, h, offset):
+    """n node coordinates ``lo + (i + offset) h``.  When ``lo`` lies on the
+    half-h lattice, ``lo = k0 h`` with 2 k0 an integer, each coordinate is
+    computed as ``(k0 + i + offset) h``: one product of an exact
+    half-integer and h.
 
-    Exact antisymmetry of the coordinates matters for staircased material
-    maps: a node landing exactly on a geometric boundary must classify the
-    same way as its mirror image, which plain ``lo + (i + offset) h``
-    arithmetic does not guarantee.
+    Exact coordinates matter for staircased material maps: a node landing
+    exactly on a geometric boundary must classify the same way as its
+    mirror image, and the same way on every extent that shares the lattice,
+    which plain ``lo + (i + offset) h`` arithmetic does not guarantee.
     """
-    if abs(lo + hi) <= 1e-9 * h:
-        half_cells = round((hi - lo) / h) / 2.0
-        return (np.arange(n) + offset - half_cells) * h
+    k0 = round(2.0 * lo / h) / 2.0
+    if abs(lo - k0 * h) <= 1e-9 * h:
+        return (np.arange(n) + (k0 + offset)) * h
     return lo + (np.arange(n) + offset) * h
 
 
@@ -393,10 +395,10 @@ class GridSpec:
         (x0, x1), (y0, y1) = self.extent
         nx, ny = self.n_cells
         h = self.h
-        return (lattice_coords(x0, x1, nx + 1, h, 0.0),
-                lattice_coords(x0, x1, nx, h, 0.5),
-                lattice_coords(y0, y1, ny + 1, h, 0.0),
-                lattice_coords(y0, y1, ny, h, 0.5))
+        return (lattice_coords(x0, nx + 1, h, 0.0),
+                lattice_coords(x0, nx, h, 0.5),
+                lattice_coords(y0, ny + 1, h, 0.0),
+                lattice_coords(y0, ny, h, 0.5))
 
     def cell_centers(self):
         """1D coordinate arrays of cell centers (x then y)."""

@@ -364,6 +364,12 @@ class DiscreteOperator:
         return self.sampling_vector(dipole.position, dipole.orientation) \
             * k0sq / self.h**2
 
+    def self_green(self, dipole):
+        """n_a . G(r_a, r_a) . n_a of the discrete delta source: one solve,
+        sampled at the source with its own orientation."""
+        w = self.sampling_vector(dipole.position, dipole.orientation)
+        return w @ self.solve(self.dipole_rhs(dipole))
+
     # -- field containers ------------------------------------------------------
 
     def unpack(self, x):

@@ -8,7 +8,9 @@ import pytest
 from qnmlab import cli
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
+from qnmlab.core import Dipole, DomainError
 from qnmlab.observables import se_from_scattered
+from qnmlab.solver import assemble, fdfd, solve_dipole
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
 
@@ -252,6 +254,95 @@ def test_scan_points_of_off_centre_rod_sit_at_their_standoffs(tmp_path,
     for standoff, p in zip(cfg.scan_standoffs, path):
         plane = cfg.geometry.nearest_tangent_plane(np.asarray(p))
         assert plane.signed_distance(p) == pytest.approx(standoff, rel=1e-12)
+
+
+# -- full-wave oracle ---------------------------------------------------------
+
+# a real frequency near the paper rod's resonance
+ROD_OMEGA = 2 * np.pi * 411.25e12
+
+
+@pytest.fixture(scope="module")
+def paper_cfg():
+    return RunConfig.load("configs/paper-2d-rod.json")
+
+
+def _oracle(cfg, r_a, n_a, omega=ROD_OMEGA):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return cli.oracle_se(cfg, r_a, n_a, omega)
+
+
+@pytest.mark.parametrize("r_a, n_a", [
+    # rod-oracle draws 7, 15, 19 and 25 at seed 1: 327 nm off a side face,
+    # 466, 353 and 337 nm off a tip, all more than 290 nm from the rod's
+    # centre line
+    ((-332.0e-9, 22.1e-9), (-0.758, -0.652)),
+    ((3.9e-9, -505.7e-9), (-0.884, 0.467)),
+    ((3.7e-9, -393.2e-9), (-0.675, -0.738)),
+    ((1.9e-9, -376.7e-9), (-1.0, -0.002)),
+])
+def test_oracle_answers_dipoles_hundreds_of_nm_out(paper_cfg, r_a, n_a):
+    (ix0, ix1), (iy0, iy1) = cli.oracle_grid(paper_cfg, [r_a]).interior_box()
+    margin = min(r_a[0] - ix0, ix1 - r_a[0], r_a[1] - iy0, iy1 - r_a[1])
+    assert margin >= cli.ORACLE_MARGIN
+    f_a = _oracle(paper_cfg, r_a, n_a)
+    assert np.isfinite(f_a) and f_a > 0
+
+
+@pytest.mark.parametrize("r_a, n_a", [
+    ((0.0, 47.7e-9), (0.0, 1.0)),        # 7.7 nm off the tip
+    ((-205e-9, -30e-9), (0.6, 0.8)),     # 200 nm off a side face
+])
+def test_oracle_matches_the_same_grid_twin(paper_cfg, r_a, n_a):
+    # the background self-term from the cached box, against the background
+    # twin on the oracle's own grid
+    cfg = paper_cfg
+    op = assemble(cli.oracle_grid(cfg, [r_a]), cfg.geometry, cfg.material,
+                  cfg.bg, ROD_OMEGA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = solve_dipole(op, Dipole(position=r_a, orientation=n_a))
+    twin = se_from_scattered(sol.self_scattered_green(), ROD_OMEGA, cfg.bg)
+    assert _oracle(cfg, r_a, n_a) == pytest.approx(twin, rel=1e-5)
+
+
+def test_oracle_margin_is_converged(paper_cfg, monkeypatch):
+    r_a, n_a = (10e-9, 0.0), (0.0, 1.0)
+    f_a = _oracle(paper_cfg, r_a, n_a)
+    monkeypatch.setattr(cli, "ORACLE_MARGIN", cli.ORACLE_MARGIN + 50e-9)
+    assert f_a == pytest.approx(_oracle(paper_cfg, r_a, n_a), rel=1e-5)
+
+
+@pytest.mark.parametrize("r_a", [(0.0, 0.0), (2e-9, -30e-9)])
+def test_oracle_rejects_a_dipole_inside_the_rod(paper_cfg, r_a):
+    with pytest.raises(DomainError):
+        _oracle(paper_cfg, r_a, (0.0, 1.0))
+
+
+def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
+                                                           monkeypatch):
+    # one LU of the query's own grid, plus one of the background box per
+    # new frequency; the box cache keeps only the most recent few
+    cfg = RunConfig.load(_coarse_config(tmp_path))
+    calls = []
+    splu = fdfd.spla.splu
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(fdfd.spla, "splu", counting)
+    monkeypatch.setattr(cli, "_bg_boxes", type(cli._bg_boxes)())
+    omegas = 2 * np.pi * 1e12 * np.array([290.0, 291.0, 292.0, 293.0, 294.0])
+    cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omegas[0])
+    assert len(calls) == 2
+    cli.oracle_se(cfg, (30e-9, -180e-9), (1.0, 0.0), omegas[0])
+    assert len(calls) == 3
+    for omega in omegas[1:]:
+        cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omega)
+    assert len(calls) == 3 + 2 * (len(omegas) - 1)
+    assert len(cli._bg_boxes) == cli._BG_BOX_MAX
 
 
 # -- golden artifacts ---------------------------------------------------------

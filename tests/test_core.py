@@ -16,6 +16,7 @@ from qnmlab.core import (
     bilinear_sample,
     colocate,
     interior_fraction,
+    lattice_coords,
 )
 
 WP = 1.26e16
@@ -133,6 +134,35 @@ def test_rod_inside_partition_and_contrast_support():
     frac = interior_fraction(rod.inside, pts, 1e-9)
     assert np.all(frac[~mask] == 0)
     assert np.all(frac[mask] == 1)
+
+
+def test_lattice_coords_on_symmetric_grid_are_unchanged():
+    # the paper grid: (i + offset - N/2) h, bit for bit
+    h, n = 2.5e-9, 840
+    for offset, count in ((0.0, n + 1), (0.5, n)):
+        want = (np.arange(count) + offset - n / 2) * h
+        assert np.array_equal(lattice_coords(-1050e-9, count, h, offset),
+                              want)
+
+
+def test_face_nodes_classify_alike_on_asymmetric_extents():
+    # a tight, off-centre extent shares the symmetric grid's lattice, so
+    # each node near the rod gets the same coordinates and the same
+    # interior fraction; plain lo + (i + offset) h arithmetic puts face
+    # nodes off the faces on both extents
+    rod = Rod2D(width=10e-9, length=80e-9)
+    h, pml = 2.5e-9, PmlSpec(cells=24)
+    sym = GridSpec(extent=((-1050e-9, 1050e-9), (-1050e-9, 1050e-9)), h=h,
+                   pml=pml)
+    box = ((-10e-9, 10e-9), (-45e-9, 45e-9))
+    for extent in (((-245e-9, 500e-9), (-190e-9, 600e-9)),
+                   ((-165e-9, 170e-9), (-700e-9, 200e-9))):
+        tight = GridSpec(extent=extent, h=h, pml=pml)
+        for (_, want), (_, got) in zip(sym.node_blocks(box),
+                                       tight.node_blocks(box)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(interior_fraction(rod.inside, got, h),
+                                  interior_fraction(rod.inside, want, h))
 
 
 def test_cylinder_and_halfspace_inside():
