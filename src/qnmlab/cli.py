@@ -24,7 +24,9 @@ With ``oracle.enabled`` the emission, propagator and validate stages add a
 full-wave reference (:func:`oracle_se`).  Each oracle query factorizes one
 tight grid round the resonator and its dipole, with ``ORACLE_MARGIN``
 between the dipole and the PML; the background self-term comes from a
-small background-only box whose factor is kept per frequency.
+small background-only box whose factor is kept per frequency.  Validate
+solves nothing: it reuses the oracle values that the distance scan wrote
+to ``distance.csv`` at the scan checkpoints.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -457,12 +459,31 @@ def _oracle_propagator(cfg, r_a, omega, checkpoints):
     return out
 
 
+def _scan_oracle(outdir, points):
+    """The oracle's F_a at the given distance-scan rows, read back from the
+    ``f_a_oracle`` column of ``distance.csv`` (17 digits, so exact)."""
+    path = os.path.join(outdir, "distance.csv")
+    column = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        if "f_a_oracle" in rows[0]:
+            k = rows[0].index("f_a_oracle")
+            column = [float(row[k]) for row in rows[1:]]
+    values = [column[i] if i < len(column) else math.nan for i in points]
+    if any(math.isnan(v) for v in values):
+        raise QnmError(f"{path} holds no oracle value at the scan "
+                       "checkpoints; run 'qnm se' with the oracle on first")
+    return values
+
+
 def stage_validate(cfg: RunConfig, outdir):
     """Compare the far model against the full-wave oracle on resonance.
 
-    With the oracle off, or no checkpoint on the scan path, nothing is
-    compared: ``oracle_checks`` is empty and ``tolerances_met`` is null,
-    never a pass.
+    The oracle values are the ones ``stage_se`` wrote to ``distance.csv``
+    at the scan checkpoints, so validate solves nothing.  With the oracle
+    off, or no checkpoint on the scan path, nothing is compared:
+    ``oracle_checks`` is empty and ``tolerances_met`` is null, never a pass.
     """
     if cfg.zero_contrast:
         return
@@ -471,14 +492,14 @@ def stage_validate(cfg: RunConfig, outdir):
     points = [i for i in checkpoints if i < len(path)]
     checks = {}
     if points:
+        oracle = _scan_oracle(outdir, points)
         mode = _load_mode(outdir)
         far = far_green_model(
             RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg))
         omega = mode.frequency.omega
-        for i in points:
+        for i, f_oracle in zip(points, oracle):
             p = path[i]
             f_model = se_enhancement(far, p, cfg.scan_orientation, omega)
-            f_oracle = oracle_se(cfg, p, cfg.scan_orientation, omega)
             rel = abs(f_model - f_oracle) / abs(f_oracle)
             checks[f"standoff_{cfg.scan_standoffs[i] * 1e9:.3g}nm"] = {
                 "far_model": f_model, "oracle": f_oracle, "rel_diff": rel,

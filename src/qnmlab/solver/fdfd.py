@@ -32,6 +32,14 @@ through the exact Schur complement on the h_z unknowns,
 which is a scalar five-point system with half the unknowns and far lower LU
 fill than the vector form; the solution is algebraically identical.
 
+A point source and a point sample share one bilinear stencil per
+component: at most 4 E_x and 4 E_y nodes round the point, folded back
+across the mirror planes.  A solution vector is sampled by gathering those
+at most 8 entries and summing them in stencil order, never by a dot with a
+dense weight vector: a dense dot is a BLAS call, and where numpy and scipy
+each load their own BLAS it wakes numpy's thread pool, which then spins
+beside SuperLU's own during the next factorization.
+
 Mirror-symmetry reduction: for fields with E_y even / E_x odd across x = 0
 and/or y = 0 (the parity of a y-oriented dipole source on the axis), the
 operator can be restricted to the first quadrant.  The restriction is the
@@ -235,13 +243,6 @@ class DiscreteOperator:
             warnings.warn(
                 f"smallest geometric feature ({feature:.3g} m) is resolved by "
                 f"fewer than 10 cells at h={self.h:.3g} m", stacklevel=3)
-        lam0 = 2 * np.pi * C0 / abs(self.omega)
-        (gx0, gx1), (gy0, gy1) = self.grid.extent
-        margin = min(bx0 - gx0, gx1 - bx1, by0 - gy0, gy1 - by1)
-        if margin < lam0:
-            warnings.warn(
-                f"margin between resonator and grid edge ({margin:.3g} m) is "
-                f"below one free-space wavelength ({lam0:.3g} m)", stacklevel=3)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -330,16 +331,22 @@ class DiscreteOperator:
                     out.append((self._idx_ey(i, j), w * sign))
         return out
 
-    def sampling_vector(self, position, orientation):
-        """Sparse weights w such that ``w . x`` interpolates n . E at a point."""
-        w = np.zeros(self.n_e)
-        nx_, ny_ = orientation
-        for comp, amp in (("ex", nx_), ("ey", ny_)):
-            if amp == 0.0:
-                continue
-            for idx, wt in self._stencil(position, comp):
-                w[idx] += amp * wt
-        return w
+    def _sampling_weights(self, position, orientation):
+        """(index, weight) pairs, E_x stencil then E_y, such that
+        ``sum(w x[i])`` interpolates n . E at a point; an index repeats when
+        two stencil nodes fold onto one across a mirror plane."""
+        out = []
+        for comp, amp in zip(("ex", "ey"), orientation):
+            if amp != 0.0:
+                out += [(idx, amp * wt)
+                        for idx, wt in self._stencil(position, comp)]
+        return out
+
+    def sample(self, x, position, orientation):
+        """n . E at a point from a solution vector ``x``: a gather of the at
+        most 8 stencil entries, summed in stencil order."""
+        return sum((wt * x[idx] for idx, wt in
+                    self._sampling_weights(position, orientation)), 0j)
 
     def dipole_rhs(self, dipole, allow_symmetrized=False):
         """Discrete delta source ``k0^2 delta(r - r_a) n_a`` (scaled form).
@@ -361,14 +368,17 @@ class DiscreteOperator:
                     "with mirror symmetry the source must lie on the mirror "
                     "plane (pass allow_symmetrized=True to fold it)")
         k0sq = (self.omega / C0) ** 2
-        return self.sampling_vector(dipole.position, dipole.orientation) \
-            * k0sq / self.h**2
+        b = np.zeros(self.n_e)
+        for idx, wt in self._sampling_weights(dipole.position,
+                                              dipole.orientation):
+            b[idx] += wt
+        return b * k0sq / self.h**2
 
     def self_green(self, dipole):
         """n_a . G(r_a, r_a) . n_a of the discrete delta source: one solve,
         sampled at the source with its own orientation."""
-        w = self.sampling_vector(dipole.position, dipole.orientation)
-        return w @ self.solve(self.dipole_rhs(dipole))
+        return self.sample(self.solve(self.dipole_rhs(dipole)),
+                           dipole.position, dipole.orientation)
 
     # -- field containers ------------------------------------------------------
 
@@ -434,8 +444,8 @@ class DipoleSolution:
         ex_b, ey_b = operator.unpack(x_bg)
         self.ex_scat = self.ex - ex_b
         self.ey_scat = self.ey - ey_b
-        self._g_self_scat = operator.sampling_vector(
-            dipole.position, dipole.orientation) @ (x_tot - x_bg)
+        self._g_self_scat = operator.sample(x_tot - x_bg, dipole.position,
+                                            dipole.orientation)
 
     def self_scattered_green(self) -> complex:
         """n_a . G_scat(r_a, r_a; w) . n_a at the source point."""

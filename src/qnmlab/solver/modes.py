@@ -26,9 +26,11 @@ format: one JSON header line followed by little-endian float64 interleaved
 
 import json
 import logging
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.constants import c as C0
 
 from ..core import (
     Background,
@@ -128,7 +130,7 @@ def driven_response(grid, geometry, material, bg, omega, symmetry=None,
     """
     source = source or _default_source(geometry)
     op, x = _resolve(grid, geometry, material, bg, omega, symmetry, source)
-    return op.sampling_vector(_default_probe(geometry), (0.0, 1.0)) @ x
+    return op.sample(x, _default_probe(geometry), (0.0, 1.0))
 
 
 def _gauge_fix(ex, ey):
@@ -150,7 +152,9 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     still cuts the eigen-residual tenfold.  The factor moves to the current
     ``w`` (the old one is freed first) when an outer step cuts the
     eigen-residual less than tenfold.  ``symmetry`` ("x", "y", "xy") solves
-    the mirror-reduced problem when geometry and source allow it.  Raises
+    the mirror-reduced problem when geometry and source allow it.  Warns
+    when the grid leaves less than one free-space wavelength (at the guess)
+    between the resonator and its edge.  Raises
     :class:`PoleSearchError` when an iterate leaves the search basin, when
     ``max_iter`` outer iterates do not converge, or when more than one pole
     lies in the basin (with ``verify_isolation``).
@@ -158,6 +162,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     source = source or _default_source(geometry)
     sigma = complex(search.omega_guess)
     basin = search.basin_radius or 0.25 * abs(sigma)
+    _warn_margin(grid, geometry, sigma)
 
     def operator(w):
         # each Rayleigh secant starts at the current omega: reuse its operator
@@ -216,6 +221,19 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
                      frequency=ComplexFrequency.from_omega_tilde(omega),
                      residual=float(res), pole_iterates=tuple(iterates),
                      pole_shifts=tuple(shifts))
+
+
+def _warn_margin(grid, geometry, omega):
+    # the mode's outgoing tail needs room before the PML; driven solves on
+    # tight grids (the oracle) check their own margin instead
+    lam0 = 2 * np.pi * C0 / abs(omega)
+    (bx0, bx1), (by0, by1) = geometry.bounding_box
+    (gx0, gx1), (gy0, gy1) = grid.extent
+    margin = min(bx0 - gx0, gx1 - bx1, by0 - gy0, gy1 - by1)
+    if margin < lam0:
+        warnings.warn(
+            f"margin between resonator and grid edge ({margin:.3g} m) is "
+            f"below one free-space wavelength ({lam0:.3g} m)", stacklevel=3)
 
 
 def _resolve(grid, geometry, material, bg, omega, symmetry, source):

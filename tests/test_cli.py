@@ -8,7 +8,7 @@ import pytest
 from qnmlab import cli
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
-from qnmlab.core import Dipole, DomainError
+from qnmlab.core import Dipole, DomainError, QnmError
 from qnmlab.observables import se_from_scattered
 from qnmlab.solver import assemble, fdfd, solve_dipole
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
@@ -345,6 +345,19 @@ def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
     assert len(cli._bg_boxes) == cli._BG_BOX_MAX
 
 
+@pytest.mark.parametrize("r_a, n_a", [
+    ((0.0, 45e-9), (0.0, 1.0)),          # 5 nm off the tip
+    ((-332.0e-9, 22.1e-9), (-0.758, -0.652)),
+])
+def test_oracle_grids_raise_no_margin_warning(paper_cfg, r_a, n_a):
+    # the oracle sizes its own converged margin; the wavelength rule is
+    # the pole search's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.oracle_se(paper_cfg, r_a, n_a, ROD_OMEGA)
+    assert not [w for w in caught if "margin between" in str(w.message)]
+
+
 # -- golden artifacts ---------------------------------------------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -460,6 +473,36 @@ def test_threaded_spectrum_matches_serial(golden_run, tmp_path):
     threaded = _run(cfg, tmp_path / "threads2", threads=2)
     assert (threaded / "spectrum.csv").read_bytes() == \
         (out / "spectrum.csv").read_bytes()
+
+
+def test_run_solves_each_oracle_point_once(tmp_path, monkeypatch):
+    # validate reads the scan's oracle values back from distance.csv
+    calls = []
+    oracle_se = cli.oracle_se
+
+    def counting(*args):
+        calls.append(args)
+        return oracle_se(*args)
+
+    monkeypatch.setattr(cli, "oracle_se", counting)
+    cfg = RunConfig.load(_golden_config(tmp_path))
+    _run(cfg, tmp_path / "out")
+    spectrum = range(0, cfg.spectrum_points, cfg.oracle_spectrum_stride)
+    assert len(calls) == len(spectrum) + len(cfg.oracle_scan_checkpoints)
+
+
+@pytest.mark.parametrize("distance_csv", [
+    None, "standoff_nm,f_a_f,f_a_far\n20,1.5,1.4\n40,1.2,1.1\n",
+    "standoff_nm,f_a_f,f_a_oracle\n20,1.5,nan\n40,1.2,nan\n"])
+def test_validate_without_the_scan_oracle_points_to_se(tmp_path,
+                                                       distance_csv):
+    cfg = RunConfig.load(_golden_config(tmp_path))
+    out = tmp_path / "out"
+    out.mkdir()
+    if distance_csv is not None:
+        (out / "distance.csv").write_text(distance_csv)
+    with pytest.raises(QnmError, match="qnm se"):
+        cli.stage_validate(cfg, str(out))
 
 
 def test_validate_without_oracle_checks_nothing(tmp_path, monkeypatch):

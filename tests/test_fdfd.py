@@ -1,9 +1,13 @@
+import pathlib
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import warnings
 
 from qnmlab.background import green_b_2d, im_green_b_diag
+from qnmlab.config import RunConfig
 from qnmlab.core import (
     Background,
     ConstantMaterial,
@@ -173,6 +177,95 @@ def test_mirror_symmetry_reproduces_full_solve():
         scale = np.abs(eyf).max()
         assert np.abs(ey - eyf).max() < 1e-8 * scale
         assert np.abs(ex - exf).max() < 1e-8 * scale
+
+
+def _dense_sampling_vector(op, position, orientation):
+    # the dense weight vector that sampling and the source were once built
+    # from, kept as the reference of the stencil gather
+    w = np.zeros(op.n_e)
+    for comp, amp in zip(("ex", "ey"), orientation):
+        if amp == 0.0:
+            continue
+        for idx, wt in op._stencil(position, comp):
+            w[idx] += amp * wt
+    return w
+
+
+def _sampling_rod_operator(symmetry):
+    grid = _empty_grid(0.6e-6, 5e-9, pml_cells=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return assemble(grid, Rod2D(10e-9, 80e-9), DrudeModel(1.26e16, 7e13),
+                        BG, OMEGA, symmetry=symmetry)
+
+
+# points a fraction of a cell off the mirror planes: their stencils reach
+# across x = 0 and y = 0 and fold back onto the reduced domain
+FOLDING_POINTS = [(1.5e-9, 42.0e-9), (0.0, 1.0e-9), (-2.0e-9, -1.5e-9),
+                  (60.3e-9, 0.0)]
+ORIENTATIONS = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("symmetry", ["", "x", "xy"])
+def test_sample_matches_the_dense_dot(symmetry):
+    op = _sampling_rod_operator(symmetry)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=op.n_e) + 1j * rng.normal(size=op.n_e)
+    for p in FOLDING_POINTS:
+        for n in ORIENTATIONS:
+            want = _dense_sampling_vector(op, p, n) @ x
+            assert op.sample(x, p, n) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("symmetry, position", [
+    ("", (7.3e-9, 43.1e-9)),
+    ("x", (0.0, 47.5e-9)),     # E_x stencil folds across x = 0
+    ("xy", (0.0, 0.0)),        # both fold; inside the rod, self_green only
+])
+def test_self_green_matches_the_dense_dot(symmetry, position):
+    op = _sampling_rod_operator(symmetry)
+    dip = Dipole(position=position, orientation=(0.6, 0.8))
+    w = _dense_sampling_vector(op, dip.position, dip.orientation)
+    x = op.solve(op.dipole_rhs(dip))
+    assert op.self_green(dip) == pytest.approx(w @ x, rel=1e-14)
+    if op.geometry.inside(np.asarray(position)):
+        return
+    x_bg = op.background_twin().solve(op.dipole_rhs(dip))
+    assert solve_dipole(op, dip).self_scattered_green() == \
+        pytest.approx(w @ (x - x_bg), rel=1e-14)
+
+
+@pytest.mark.parametrize("symmetry", ["", "x", "xy"])
+def test_dipole_rhs_is_the_dense_build_bit_for_bit(symmetry):
+    op = _sampling_rod_operator(symmetry)
+    k0sq = (op.omega / 299792458.0) ** 2
+    for p in FOLDING_POINTS:
+        for n in ORIENTATIONS:
+            dip = Dipole(position=p, orientation=n)
+            want = _dense_sampling_vector(op, dip.position, dip.orientation) \
+                * k0sq / op.h**2
+            got = op.dipole_rhs(dip, allow_symmetrized=True)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sampling_a_solution_allocates_only_its_stencil():
+    # on the paper grid's mirror-reduced operator (352 380 unknowns) a dense
+    # weight vector and its complex cast peak at 8.5 MB; the gather reads at
+    # most 8 entries
+    cfg = RunConfig.load(pathlib.Path(__file__).parents[1] / "configs"
+                         / "paper-2d-rod.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        op = assemble(cfg.grid, cfg.geometry, cfg.material, cfg.bg,
+                      2 * np.pi * 387e12, symmetry="xy")
+    x = np.ones(op.n_e, dtype=complex)
+    tracemalloc.start()
+    try:
+        op.sample(x, (0.3e-9, 50.4e-9), (0.6, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_symmetry_rejects_off_plane_source():

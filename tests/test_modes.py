@@ -127,8 +127,8 @@ def test_single_pole_lorentzian_fit_of_rod_response():
     def scattered_response(w):
         op = assemble(grid, rod, mat, BG, w, symmetry="xy")
         b = op.dipole_rhs(src)
-        u = op.sampling_vector(probe, (0.0, 1.0))
-        return u @ (op.solve(b) - op.background_twin().solve(b))
+        return op.sample(op.solve(b) - op.background_twin().solve(b), probe,
+                         (0.0, 1.0))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -154,6 +154,16 @@ def _find_rod(grid=None, guess=ROD_GUESS, **search):
         return find_qnm(grid or _grid(5e-9, width=2.1e-6, pml=24), ROD,
                         DRUDE, BG, PoleSearch(omega_guess=guess, **search),
                         symmetry="xy")
+
+
+def test_pole_search_warns_of_a_margin_below_one_wavelength():
+    # 300 nm between the rod's tips and the grid edge, against 837 nm
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        find_qnm(_grid(5e-9, width=0.68e-6), ROD, DRUDE, BG,
+                 PoleSearch(omega_guess=ROD_GUESS), symmetry="xy")
+    margin = [w for w in caught if "margin between" in str(w.message)]
+    assert len(margin) == 1
 
 
 class _Factor:
