@@ -20,13 +20,21 @@ Artifacts in the output directory:
 ``run`` and ``find`` first delete every artifact of an earlier run, so the
 directory never mixes two runs.
 
+The stages run one after another in one thread.  The emission stage
+writes both of its tables by one row rule: F_a of every Green model at
+(r, n, w), then the oracle where asked and NaN elsewhere.  The spectrum
+samples it over frequency at the first dipole, the distance scan over
+standoff on resonance.
+
 With ``oracle.enabled`` the emission, propagator and validate stages add a
 full-wave reference (:func:`oracle_se`).  Each oracle query factorizes one
 tight grid round the resonator and its dipole, with ``ORACLE_MARGIN``
-between the dipole and the PML; the background self-term comes from a
-small background-only box whose factor is kept per frequency.  Validate
-solves nothing: it reuses the oracle values that the distance scan wrote
-to ``distance.csv`` at the scan checkpoints.
+between the dipole and the PML.  The background self-term comes from a
+small background-only box.  The factored box operators of the four most
+recently used (box, background, frequency) keys stay in an LRU cache: the
+resonance plus the latest detuned frequencies.  Validate solves nothing:
+it reuses the oracle values that the distance scan wrote to
+``distance.csv`` at the scan checkpoints.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -34,14 +42,12 @@ formats (17 significant digits), fixed reduction orders, no timestamps.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
 import os
 import sys
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.constants import c as C0
@@ -53,7 +59,6 @@ from .dyson import RegularizedField
 from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
     born_green_model,
-    distance_scan,
     eta_factor,
     far_green_model,
     mode_green_model,
@@ -88,14 +93,6 @@ def write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     log.info("wrote %s (%d rows)", path, len(rows))
-
-
-def parallel_map(fn, items, threads=1):
-    """Order-preserving map; results are independent of execution order."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _update_report(outdir, updates):
@@ -249,11 +246,6 @@ def _columns(cfg, models):
 
 
 ORACLE_MARGIN = 100e-9
-# background boxes kept factorized, one per (box, background, frequency):
-# the resonance plus the most recent detuned frequencies
-_BG_BOX_MAX = 4
-_bg_boxes = OrderedDict()
-_bg_lock = threading.Lock()
 
 
 def oracle_grid(cfg: RunConfig, positions):
@@ -275,6 +267,13 @@ def oracle_grid(cfg: RunConfig, positions):
     return GridSpec(extent=tuple(extent), h=h, pml=cfg.grid.pml)
 
 
+@functools.lru_cache(maxsize=4)
+def _background_box(box, bg, omega):
+    """The background-only operator of ``box`` at complex ``omega``; it
+    keeps its LU once solved, so the cache holds four factored boxes."""
+    return assemble(box, None, None, bg, omega)
+
+
 def _background_self_green(cfg, dipole, omega):
     """n_a . G_bg(r_a, r_a) . n_a of the discrete delta source, from a
     background-only box spanning +-(ORACLE_MARGIN + PML), snapped to h.
@@ -290,15 +289,7 @@ def _background_self_green(cfg, dipole, omega):
     r_a = np.asarray(dipole.position)
     moved = Dipole(position=tuple(r_a - h * np.round(r_a / h)),
                    orientation=dipole.orientation)
-    key = (box, cfg.bg, complex(omega))
-    with _bg_lock:
-        op = _bg_boxes.pop(key, None)
-        if op is None:
-            op = assemble(box, None, None, cfg.bg, omega)
-        _bg_boxes[key] = op
-        while len(_bg_boxes) > _BG_BOX_MAX:
-            _bg_boxes.popitem(last=False)
-        return op.self_green(moved)
+    return _background_box(box, cfg.bg, complex(omega)).self_green(moved)
 
 
 def oracle_se(cfg: RunConfig, r_a, n_a, omega):
@@ -327,7 +318,7 @@ def _scan_path(cfg):
             for s in cfg.scan_standoffs]
 
 
-def stage_se(cfg: RunConfig, outdir, threads=1):
+def stage_se(cfg: RunConfig, outdir):
     if cfg.zero_contrast:
         _write_zero_contrast(cfg, outdir)
         return
@@ -337,38 +328,32 @@ def stage_se(cfg: RunConfig, outdir, threads=1):
     mode = _load_mode(outdir)
     models = _build_models(cfg, mode)
     freq = mode.frequency
+    header = [f"f_a_{c}" for c in _columns(cfg, models)]
+
+    def row(r, n, w, with_oracle):
+        """F_a of every model at (r, n, w), then, with the oracle on, its
+        value where asked and NaN elsewhere."""
+        vals = [se_enhancement(m, r, n, w) for m in models]
+        if cfg.oracle_enabled:
+            vals.append(oracle_se(cfg, r, n, w) if with_oracle else math.nan)
+        return vals
+
     # spectrum at the first configured dipole
     r_a, n_a = cfg.dipoles[0]
     ws = freq.omega + np.linspace(-1, 1, cfg.spectrum_points) \
         * cfg.spectrum_half_gammas * freq.gamma
-    oracle_cols = cfg.oracle_enabled
-
-    def one_freq(i_w):
-        i, w = i_w
-        vals = [se_enhancement(m, r_a, n_a, w) for m in models]
-        if oracle_cols and i % cfg.oracle_spectrum_stride == 0:
-            vals.append(oracle_se(cfg, r_a, n_a, w))
-        elif oracle_cols:
-            vals.append(float("nan"))
-        return vals
-
-    results = parallel_map(one_freq, list(enumerate(ws)), threads)
-    rows = [(w / (2 * np.pi * 1e12), *vals) for w, vals in zip(ws, results)]
-    columns = _columns(cfg, models)
-    write_csv(os.path.join(outdir, "spectrum.csv"),
-              ["omega_thz"] + [f"f_a_{c}" for c in columns], rows)
-
+    write_csv(os.path.join(outdir, "spectrum.csv"), ["omega_thz"] + header,
+              [(w / (2 * np.pi * 1e12),
+                *row(r_a, n_a, w, i % cfg.oracle_spectrum_stride == 0))
+               for i, w in enumerate(ws)])
     if cfg.scan_standoffs:
-        n_scan = cfg.scan_orientation
-        oracle = (lambda p: oracle_se(cfg, p, n_scan, freq.omega)) \
-            if oracle_cols else None
-        records = distance_scan(models, _scan_path(cfg), n_scan, freq.omega,
-                                oracle=oracle,
-                                oracle_checkpoints=cfg.oracle_scan_checkpoints)
-        rows = [(s * 1e9, *(rec.f_a[c] for c in columns))
-                for s, rec in zip(cfg.scan_standoffs, records)]
+        checkpoints = set(cfg.oracle_scan_checkpoints)
         write_csv(os.path.join(outdir, "distance.csv"),
-                  ["standoff_nm"] + [f"f_a_{c}" for c in columns], rows)
+                  ["standoff_nm"] + header,
+                  [(s * 1e9, *row(p, cfg.scan_orientation, freq.omega,
+                                  i in checkpoints))
+                   for i, (s, p) in enumerate(zip(cfg.scan_standoffs,
+                                                  _scan_path(cfg)))])
 
 
 def _write_zero_contrast(cfg, outdir):
@@ -482,13 +467,15 @@ def stage_validate(cfg: RunConfig, outdir):
 
     The oracle values are the ones ``stage_se`` wrote to ``distance.csv``
     at the scan checkpoints, so validate solves nothing.  With the oracle
-    off, or no checkpoint on the scan path, nothing is compared:
-    ``oracle_checks`` is empty and ``tolerances_met`` is null, never a pass.
+    off, no dipole configured (so no emission stage wrote a scan), or no
+    checkpoint on the scan path, nothing is compared: ``oracle_checks`` is
+    empty and ``tolerances_met`` is null, never a pass.
     """
     if cfg.zero_contrast:
         return
     path = _scan_path(cfg)
-    checkpoints = cfg.oracle_scan_checkpoints if cfg.oracle_enabled else []
+    checkpoints = cfg.oracle_scan_checkpoints \
+        if cfg.oracle_enabled and cfg.dipoles else []
     points = [i for i in checkpoints if i < len(path)]
     checks = {}
     if points:
@@ -510,7 +497,7 @@ def stage_validate(cfg: RunConfig, outdir):
                                    "tolerances_met": ok})
 
 
-def run_pipeline(cfg: RunConfig, outdir, threads=1, resolution_override=None):
+def run_pipeline(cfg: RunConfig, outdir, resolution_override=None):
     os.makedirs(outdir, exist_ok=True)
     # every run rebuilds its artifacts; the stages add to the report
     _clear_artifacts(outdir)
@@ -520,7 +507,7 @@ def run_pipeline(cfg: RunConfig, outdir, threads=1, resolution_override=None):
     stage_find(cfg, outdir, resolution_override)
     stage_normalize(cfg, outdir)
     stage_modevol(cfg, outdir)
-    stage_se(cfg, outdir, threads)
+    stage_se(cfg, outdir)
     stage_propagate(cfg, outdir)
     stage_validate(cfg, outdir)
 
@@ -538,7 +525,6 @@ def main(argv=None):
                                  "propagate", "validate", "run"])
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="qnm-out")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--resolution-override", type=float, default=None,
                         help="cell size in meters, replaces grid.h")
     args = parser.parse_args(argv)
@@ -551,8 +537,7 @@ def main(argv=None):
         cfg = RunConfig.load(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "run":
-            run_pipeline(cfg, args.out, args.threads,
-                         args.resolution_override)
+            run_pipeline(cfg, args.out, args.resolution_override)
         elif args.command == "find":
             if cfg.zero_contrast:
                 _clear_artifacts(args.out)
@@ -564,7 +549,7 @@ def main(argv=None):
         elif args.command == "modevol":
             stage_modevol(cfg, args.out)
         elif args.command == "se":
-            stage_se(cfg, args.out, args.threads)
+            stage_se(cfg, args.out)
         elif args.command == "propagate":
             stage_propagate(cfg, args.out)
         elif args.command == "validate":

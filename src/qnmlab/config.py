@@ -63,6 +63,8 @@ def _parse_direction(value, where):
 
 
 def _check_keys(d, allowed, where):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
@@ -135,6 +137,12 @@ class RunConfig:
         except DomainError as exc:
             # a value a core constructor rejects is a bad configuration
             raise ConfigError(f"config: {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"config: missing key {exc.args[0]!r}") \
+                from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            # a value of the wrong type or form, e.g. "abc" for a count
+            raise ConfigError(f"config: malformed value: {exc}") from exc
 
     def _parse(self, data):
         _check_keys(data, self.TOP_KEYS, "config")

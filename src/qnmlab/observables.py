@@ -39,8 +39,6 @@ model.  At the hot spot r0 of ``normalize.mode_volume``, with n along
 f(r0) and f(r0)^2 real, eta(w_c) = 1/(1 + (gamma_c/w_c)^2).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .background import green_qs, im_green_b_diag
@@ -52,7 +50,6 @@ from .dyson import (
 )
 
 __all__ = [
-    "SERecord",
     "GreenModel",
     "mode_green_model",
     "far_green_model",
@@ -62,18 +59,7 @@ __all__ = [
     "se_from_scattered",
     "purcell_factor",
     "eta_factor",
-    "distance_scan",
 ]
-
-
-@dataclass(frozen=True)
-class SERecord:
-    """Emission enhancement at one frequency and position, per model."""
-
-    omega: float
-    position: tuple
-    orientation: tuple
-    f_a: dict
 
 
 class GreenModel:
@@ -172,27 +158,3 @@ def eta_factor(field_value, n_a, omega, v_eff, omega_c, gamma_c, eps_b):
     return float(eps_b * omega_c * gamma_c * v_eff
                  * np.imag(proj / (wt * (wt - omega))))
 
-
-def distance_scan(models, path, n_a, omega, oracle=None,
-                  oracle_checkpoints=None):
-    """Emission enhancement along a list of positions for several models.
-
-    ``oracle`` is an optional callable ``r_a -> F_a`` running the full-wave
-    reference; it is evaluated only at ``oracle_checkpoints`` (indices into
-    ``path``) since each point costs a linear solve.  Missing oracle entries
-    are NaN.
-    """
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    checkpoints = set(oracle_checkpoints or [])
-    records = []
-    for i, r_a in enumerate(path):
-        f_a = {m.name: se_enhancement(m, r_a, n_a, omega) for m in models}
-        if oracle is not None and i in checkpoints:
-            f_a["oracle"] = float(oracle(r_a))
-        elif oracle is not None:
-            f_a["oracle"] = float("nan")
-        records.append(SERecord(omega=float(np.real(omega)),
-                                position=tuple(r_a),
-                                orientation=tuple(np.asarray(n_a, float)),
-                                f_a=f_a))
-    return records

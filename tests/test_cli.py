@@ -167,6 +167,14 @@ def test_cli_entry_point_staged_commands(tmp_path):
                  "--out", str(out)]) == 2
 
 
+def test_threads_option_is_gone(tmp_path):
+    # the stages run serially; argparse rejects the old thread count
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(_coarse_config(tmp_path)),
+              "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_resolution_override(tmp_path):
     path = _coarse_config(tmp_path, dipoles=[])
     out = tmp_path / "out"
@@ -198,6 +206,36 @@ def test_constructor_rejection_is_config_error(tmp_path, section, key, value):
     # a value a core constructor rejects exits 2 (bad configuration), not 1
     data = json.loads(pathlib.Path("configs/paper-2d-rod.json").read_text())
     data[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        RunConfig.load(path)
+    assert main(["find", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("keys,value", [
+    (("geometry", "width"), None),
+    (("pole_search", "guess", "imag"), None),
+    (("grid", "pml_cells"), "abc"),
+    (("background", "n"), "x"),
+    (("pole_search", "rel_tol"), "abc"),
+    (("oracle", "scan_checkpoints"), "ab"),
+    (("grid",), []),
+    (("material",), {"type": "constant", "eps": [16.0]}),
+], ids=["no-width", "no-guess-imag", "word-pml-cells", "word-n",
+        "word-rel-tol", "word-checkpoints", "grid-list", "1-eps"])
+def test_malformed_values_are_config_errors(tmp_path, keys, value):
+    # each used to end in a KeyError, ValueError, TypeError or IndexError
+    # traceback with exit 1; a value of None deletes the key
+    data = json.loads(pathlib.Path("configs/paper-2d-rod.json").read_text())
+    inner = data
+    for key in keys[:-1]:
+        inner = inner[key]
+    if value is None:
+        del inner[keys[-1]]
+    else:
+        inner[keys[-1]] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError):
@@ -333,7 +371,7 @@ def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
         return splu(a, *args, **kwargs)
 
     monkeypatch.setattr(fdfd.spla, "splu", counting)
-    monkeypatch.setattr(cli, "_bg_boxes", type(cli._bg_boxes)())
+    cli._background_box.cache_clear()
     omegas = 2 * np.pi * 1e12 * np.array([290.0, 291.0, 292.0, 293.0, 294.0])
     cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omegas[0])
     assert len(calls) == 2
@@ -342,7 +380,7 @@ def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
     for omega in omegas[1:]:
         cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omega)
     assert len(calls) == 3 + 2 * (len(omegas) - 1)
-    assert len(cli._bg_boxes) == cli._BG_BOX_MAX
+    assert cli._background_box.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("r_a, n_a", [
@@ -468,13 +506,6 @@ def test_golden_oracle_matches_cylinder_series(tmp_path):
         assert abs(check["far_model"] - series) > 0.5 * series
 
 
-def test_threaded_spectrum_matches_serial(golden_run, tmp_path):
-    cfg, out = golden_run
-    threaded = _run(cfg, tmp_path / "threads2", threads=2)
-    assert (threaded / "spectrum.csv").read_bytes() == \
-        (out / "spectrum.csv").read_bytes()
-
-
 def test_run_solves_each_oracle_point_once(tmp_path, monkeypatch):
     # validate reads the scan's oracle values back from distance.csv
     calls = []
@@ -489,6 +520,44 @@ def test_run_solves_each_oracle_point_once(tmp_path, monkeypatch):
     _run(cfg, tmp_path / "out")
     spectrum = range(0, cfg.spectrum_points, cfg.oracle_spectrum_stride)
     assert len(calls) == len(spectrum) + len(cfg.oracle_scan_checkpoints)
+
+
+def test_oracle_runs_only_at_the_stride_and_the_checkpoints(tmp_path,
+                                                           monkeypatch):
+    # spectrum rows off the stride and scan rows off the checkpoints read
+    # NaN in the oracle column
+    calls = []
+
+    def fake_oracle(cfg, r_a, n_a, omega):
+        calls.append((tuple(r_a), tuple(n_a), omega))
+        return 42.0
+
+    monkeypatch.setattr(cli, "oracle_se", fake_oracle)
+    cfg = RunConfig.load(_coarse_config(
+        tmp_path,
+        spectrum={"half_width_gammas": 1.0, "points": 5},
+        distance_scan={"axis": "y", "standoffs": ["50 nm", "150 nm",
+                                                  "250 nm"],
+                       "orientation": [0, 1]},
+        propagator={},
+        oracle={"enabled": True, "spectrum_stride": 2,
+                "scan_checkpoints": [1]}))
+    out = _run(cfg, tmp_path / "out")
+    header, spectrum = _read_csv(out / "spectrum.csv")
+    assert header == "omega_thz,f_a_f,f_a_far,f_a_oracle"
+    header, scan = _read_csv(out / "distance.csv")
+    assert header == "standoff_nm,f_a_f,f_a_far,f_a_oracle"
+    r_a, n_a = cfg.dipoles[0]
+    omega = 2 * np.pi * 1e12
+    assert [c[:2] for c in calls] == [(r_a, n_a)] * 3 + [
+        (cli._scan_path(cfg)[1], cfg.scan_orientation)]
+    assert [c[2] / omega for c in calls] == pytest.approx(
+        list(spectrum[::2, 0]) + [spectrum[2, 0]], rel=1e-15)
+    np.testing.assert_array_equal(spectrum[:, -1],
+                                  [42.0, np.nan, 42.0, np.nan, 42.0])
+    np.testing.assert_array_equal(scan[:, -1], [np.nan, 42.0, np.nan])
+    assert np.all(np.isfinite(spectrum[:, 1:3]))
+    assert np.all(np.isfinite(scan[:, 1:3]))
 
 
 @pytest.mark.parametrize("distance_csv", [
@@ -518,6 +587,23 @@ def test_validate_without_oracle_checks_nothing(tmp_path, monkeypatch):
     out = _run(cfg, tmp_path / "out")
     report = json.loads((out / "report.json").read_text())
     assert not calls
+    assert report["oracle_checks"] == {}
+    assert report["tolerances_met"] is None
+
+
+def test_oracle_run_without_dipoles_checks_nothing(tmp_path):
+    # with no dipole the emission stage writes no scan, so validate has no
+    # oracle value to compare and must not ask for one; the golden
+    # propagator keeps its source off the PML of its full-wave grid
+    path = _coarse_config(tmp_path, dipoles=[],
+                          oracle={"enabled": True, "scan_checkpoints": [0]},
+                          propagator={"source_standoff": "20 nm",
+                                      "distances": ["100 nm", "300 nm"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
     assert report["oracle_checks"] == {}
     assert report["tolerances_met"] is None
 

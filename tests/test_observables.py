@@ -8,7 +8,6 @@ from qnmlab.normalize import mode_volume
 from qnmlab.observables import (
     GreenModel,
     born_green_model,
-    distance_scan,
     eta_factor,
     far_green_model,
     mode_green_model,
@@ -166,23 +165,3 @@ def test_out_model_matches_far_at_distance(models, rod_pipeline):
     fo = se_enhancement(models["out"], r_b, (0, 1), omega)
     fa = se_enhancement(models["far"], r_b, (0, 1), omega)
     assert fo == pytest.approx(fa, rel=0.02)
-
-
-def test_distance_scan_records_and_oracle_checkpoints(models, rod_pipeline):
-    omega = rod_pipeline["mode"].frequency.omega
-    path = [(0, 50e-9), (0, 90e-9), (0, 140e-9)]
-    calls = []
-
-    def fake_oracle(r_a):
-        calls.append(tuple(r_a))
-        return 42.0
-
-    recs = distance_scan([models["f"], models["far"]], path, (0, 1), omega,
-                         oracle=fake_oracle, oracle_checkpoints=[1])
-    assert len(recs) == 3
-    assert calls == [tuple(np.asarray(path[1], float))]
-    assert recs[1].f_a["oracle"] == 42.0
-    assert np.isnan(recs[0].f_a["oracle"])
-    for r in recs:
-        assert set(r.f_a) >= {"f", "far"}
-        assert r.orientation == (0.0, 1.0)
