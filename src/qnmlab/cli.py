@@ -27,10 +27,13 @@ samples it over frequency at the first dipole, the distance scan over
 standoff on resonance.
 
 With ``oracle.enabled`` the emission, propagator and validate stages add a
-full-wave reference (:func:`oracle_se`).  Each oracle query factorizes one
-tight grid round the resonator and its dipole, with ``ORACLE_MARGIN``
-between the dipole and the PML.  The background self-term comes from a
-small background-only box.  The factored box operators of the four most
+full-wave reference (:func:`oracle_se`, :func:`oracle_propagator`).  Each
+oracle query factorizes one tight grid round the resonator and its points,
+with ``ORACLE_MARGIN`` between each point and the PML.  The propagator
+oracle builds that grid round the source and one receiver, so each
+receiver costs one solve and its value does not depend on which other
+receivers are asked; it samples the total field there.  The emission
+oracle's background self-term comes from a small background-only box.  The factored box operators of the four most
 recently used (box, background, frequency) keys stay in an LRU cache: the
 resonance plus the latest detuned frequencies.  Validate solves nothing:
 it reuses the oracle values that the distance scan wrote to
@@ -67,15 +70,7 @@ from .observables import (
     se_enhancement,
     se_from_scattered,
 )
-from .solver import (
-    NearToFar,
-    PoleSearch,
-    assemble,
-    find_qnm,
-    load_mode,
-    save_mode,
-    solve_dipole,
-)
+from .solver import PoleSearch, assemble, find_qnm, load_mode, save_mode
 
 log = logging.getLogger("qnm")
 
@@ -306,6 +301,21 @@ def oracle_se(cfg: RunConfig, r_a, n_a, omega):
     return se_from_scattered(g_scat, omega, cfg.bg)
 
 
+def oracle_propagator(cfg: RunConfig, r_a, r_b, omega):
+    """Full-wave reference |G_yy(r_b, r_a)|^2, normalized as the models of
+    ``propagator.csv``: one sparse LU of the tight :func:`oracle_grid`
+    round the resonator, the source and the receiver, one solve for the
+    y-dipole at ``r_a``, sampled at ``r_b``.  The sample is the total
+    field, so no background term is added back."""
+    dipole = Dipole(position=tuple(r_a), orientation=(0.0, 1.0))
+    if cfg.geometry.inside(np.asarray(dipole.position)):
+        raise DomainError("dipole position lies inside the resonator")
+    op = assemble(oracle_grid(cfg, [r_a, r_b]), cfg.geometry, cfg.material,
+                  cfg.bg, omega)
+    g = op.sample(op.solve(op.dipole_rhs(dipole)), r_b, dipole.orientation)
+    return abs(g) ** 2 / im_green_b_diag(omega, cfg.bg) ** 2
+
+
 def _face_point(geometry, standoff, axis):
     """The point ``standoff`` beyond the +x (+y) face, on the centre line."""
     (_, bx1), (_, by1) = geometry.bounding_box
@@ -374,74 +384,24 @@ def stage_propagate(cfg: RunConfig, outdir):
         return
     mode = _load_mode(outdir)
     models = _build_models(cfg, mode)
-    freq = mode.frequency
-    omega = freq.omega
+    omega = mode.frequency.omega
     r_a = _face_point(cfg.geometry, cfg.prop_source_standoff, "x")
     norm = im_green_b_diag(omega, cfg.bg) ** 2
     n_y = (0.0, 1.0)
+    checkpoints = set(cfg.oracle_scan_checkpoints)
     rows = []
-    oracle_vals = {}
-    if cfg.oracle_enabled and cfg.prop_distances:
-        oracle_vals = _oracle_propagator(cfg, r_a, omega,
-                                         cfg.oracle_scan_checkpoints)
     for i, d in enumerate(cfg.prop_distances):
+        # every model, then the oracle where asked and NaN elsewhere
         r_b = (r_a[0] + d, r_a[1])
-        vals = []
-        for m in models:
-            g = m.full(np.asarray(r_b), np.asarray(r_a), omega)
-            vals.append(abs(n_y @ g @ n_y) ** 2 / norm)
+        vals = [abs(n_y @ m.full(np.asarray(r_b), np.asarray(r_a), omega)
+                    @ n_y) ** 2 / norm for m in models]
         if cfg.oracle_enabled:
-            vals.append(oracle_vals.get(i, float("nan")))
+            vals.append(oracle_propagator(cfg, r_a, r_b, omega)
+                        if i in checkpoints else math.nan)
         rows.append((r_b[0] * 1e9, r_b[1] * 1e9, *vals))
     write_csv(os.path.join(outdir, "propagator.csv"),
               ["x_nm", "y_nm"] + [f"prop_{c}" for c in _columns(cfg, models)],
               rows)
-
-
-def _propagator_grid(cfg, r_a):
-    """Symmetric grid of the propagator's full-wave solve: half widths of
-    about (|r| + 350 nm + PML) / 2 over the resonator and ``r_a``, rounded
-    to a multiple of h, at least 33 h.  The near-to-far contour needs the
-    room round the resonator that a tight :func:`oracle_grid` does not
-    leave; ``dipole_rhs`` rejects a source that this grid puts in the
-    PML."""
-    h, pml = cfg.grid.h, cfg.grid.pml
-    halves = [max(max(abs(b0), abs(b1), abs(r)) + 0.35e-6 + pml.cells * h,
-                  64 * h)
-              for (b0, b1), r in zip(cfg.geometry.bounding_box, r_a)]
-    hx, hy = ((round(v / h) // 2 + 1) * h for v in halves)
-    return GridSpec(extent=((-hx, hx), (-hy, hy)), h=h, pml=pml)
-
-
-def _oracle_propagator(cfg, r_a, omega, checkpoints):
-    """Total |G_yy|^2 at selected scan indices from one full-wave solve,
-    extended beyond the grid by the near-to-far contour transform.  The
-    contour is a square, centred in the interior box, three quarters of
-    its smaller side wide."""
-    from .background import green_b_2d
-    grid = _propagator_grid(cfg, r_a)
-    op = assemble(grid, cfg.geometry, cfg.material, cfg.bg, omega)
-    sol = solve_dipole(op, Dipole(position=r_a, orientation=(0.0, 1.0)))
-    box = grid.interior_box(margin_cells=4)
-    half = 0.75 * min(hi - lo for lo, hi in box) / 2
-    centre = [(lo + hi) / 2 for lo, hi in box]
-    ntf = NearToFar((sol.ex_scat, sol.ey_scat), grid, cfg.bg, omega,
-                    rect=tuple((c - half, c + half) for c in centre))
-    norm = im_green_b_diag(omega, cfg.bg) ** 2
-    out = {}
-    for i in checkpoints:
-        if i >= len(cfg.prop_distances):
-            continue
-        r_b = np.array([r_a[0] + cfg.prop_distances[i], r_a[1]])
-        if all(abs(v - c) < half - 10 * grid.h
-               for v, c in zip(r_b, centre)):
-            scat = sol.scattered_field_at([r_b])[0]
-        else:
-            scat = ntf.scattered_field_at([r_b])[0]
-        g_tot = scat[1] + (green_b_2d(r_b, np.asarray(r_a), omega,
-                                      cfg.bg) @ [0.0, 1.0])[1]
-        out[i] = abs(g_tot) ** 2 / norm
-    return out
 
 
 def _scan_oracle(outdir, points):

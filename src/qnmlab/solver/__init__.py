@@ -1,12 +1,11 @@
-"""Frequency-domain Maxwell solver: operator assembly, the dipole oracle
-and its near-to-far transform, quasinormal-mode pole search, and the
-analytic cylinder series with its exact dipole Green function."""
+"""Frequency-domain Maxwell solver: operator assembly, the dipole oracle,
+quasinormal-mode pole search, and the analytic cylinder series with its
+exact dipole Green function."""
 
 from ..core import bilinear_sample, colocate
 from .fdfd import (
     DipoleSolution,
     DiscreteOperator,
-    NearToFar,
     assemble,
     curl_cells,
     solve_dipole,
@@ -25,7 +24,6 @@ __all__ = [
     "DipoleSolution",
     "DiscreteOperator",
     "ModeField",
-    "NearToFar",
     "PoleSearch",
     "assemble",
     "bilinear_sample",

@@ -53,14 +53,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.constants import c as C0
-from scipy.special import hankel1
 
 from ..core import (
     Background,
     ConvergenceError,
     DomainError,
     GridSpec,
-    colocate_at,
     interior_fraction,
 )
 
@@ -334,7 +332,16 @@ class DiscreteOperator:
     def _sampling_weights(self, position, orientation):
         """(index, weight) pairs, E_x stencil then E_y, such that
         ``sum(w x[i])`` interpolates n . E at a point; an index repeats when
-        two stencil nodes fold onto one across a mirror plane."""
+        two stencil nodes fold onto one across a mirror plane.
+
+        A source and a sample share this stencil, and so its check: the
+        point must lie in the interior box, where the PML scaling is unity.
+        A point in the PML, or past the grid where the stencil would drop
+        its nodes, raises ``DomainError``."""
+        (ix0, ix1), (iy0, iy1) = self.grid.interior_box()
+        x, y = position
+        if not (ix0 <= x <= ix1 and iy0 <= y <= iy1):
+            raise DomainError("dipole must lie outside the PML region")
         out = []
         for comp, amp in zip(("ex", "ey"), orientation):
             if amp != 0.0:
@@ -344,7 +351,9 @@ class DiscreteOperator:
 
     def sample(self, x, position, orientation):
         """n . E at a point from a solution vector ``x``: a gather of the at
-        most 8 stencil entries, summed in stencil order."""
+        most 8 stencil entries, summed in stencil order.  The point is where
+        a receiving dipole n would sit, so like a source it must lie outside
+        the PML."""
         return sum((wt * x[idx] for idx, wt in
                     self._sampling_weights(position, orientation)), 0j)
 
@@ -357,10 +366,7 @@ class DiscreteOperator:
         so it is rejected unless ``allow_symmetrized`` is set (pole searches
         only need *a* source that couples to the target parity).
         """
-        (ix0, ix1), (iy0_, iy1) = self.grid.interior_box()
         x, y = dipole.position
-        if not (ix0 <= x <= ix1 and iy0_ <= y <= iy1):
-            raise DomainError("dipole must lie outside the PML region")
         if not allow_symmetrized:
             if (self.mirror_x and abs(x) > 1e-9 * self.h) or \
                (self.mirror_y and abs(y) > 1e-9 * self.h):
@@ -463,79 +469,3 @@ class DipoleSolution:
 def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
     """Full-wave dipole solve: the numerical Green-function oracle."""
     return DipoleSolution(operator, dipole)
-
-
-# -- near-to-far transform ----------------------------------------------------
-
-
-class NearToFar:
-    """Evaluate the scattered field anywhere outside a contour from its
-    near-field samples (2D surface-equivalence on the out-of-plane curl).
-
-    For points outside the rectangle ``rect`` the scalar field
-    ``hz = (curl E_scat)_z`` obeys the homogeneous Helmholtz equation, so
-
-        hz(r) = Int_C [ hz(r') dg/dn' - g(r') dhz/dn' ] dl'
-
-    with ``g = (i/4) H0(k|r - r'|)`` and ``dhz/dn' = -k^2 (n' x E)_z``;
-    the electric field follows from E = (1/k^2) curl(hz z-hat), applied
-    analytically to the kernel.  The contour runs on the cell centres
-    nearest ``rect``, where ``fields = (ex, ey)`` is colocated.
-    """
-
-    def __init__(self, fields, grid, bg, omega, rect):
-        xc, yc = grid.cell_centers()
-        ix0, ix1 = (int(np.argmin(np.abs(xc - v))) for v in rect[0])
-        jy0, jy1 = (int(np.argmin(np.abs(yc - v))) for v in rect[1])
-        pts, nrm, take = [], [], []
-        ii = np.arange(ix0, ix1 + 1)
-        jj = np.arange(jy0 + 1, jy1)
-        # bottom and top rows
-        for j, ny_ in ((jy0, -1.0), (jy1, 1.0)):
-            pts.append(np.stack([xc[ii], np.full(ii.shape, yc[j])], axis=-1))
-            nrm.append(np.tile([0.0, ny_], (len(ii), 1)))
-            take.append((ii, np.full(ii.shape, j)))
-        # left and right columns (corners excluded, they belong to the rows)
-        for i, nx_ in ((ix0, -1.0), (ix1, 1.0)):
-            pts.append(np.stack([np.full(jj.shape, xc[i]), yc[jj]], axis=-1))
-            nrm.append(np.tile([nx_, 0.0], (len(jj), 1)))
-            take.append((np.full(jj.shape, i), jj))
-        i, j = (np.concatenate(t) for t in zip(*take))
-        # colocation and curl_cells at the contour cells only
-        ex, ey = fields
-        exc, eyc = colocate_at(ex, ey, i, j)
-        self.pts, self.nrm = np.concatenate(pts), np.concatenate(nrm)
-        self.h = grid.h
-        self.k = bg.wavenumber(omega)
-        self.hz = ((ey[i + 1, j] - ey[i, j]) / grid.h
-                   - (ex[i, j + 1] - ex[i, j]) / grid.h)
-        # dhz/dn = -k^2 (n x E)_z = -k^2 (nx Ey - ny Ex)
-        self.dhz = -self.k**2 * (self.nrm[:, 0] * eyc - self.nrm[:, 1] * exc)
-
-    def scattered_field_at(self, points):
-        """E_scat at points strictly outside the contour, shape (N, 2)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        k = self.k
-        d = points[:, None, :] - self.pts[None, :, :]   # (N, M, 2)
-        R = np.sqrt(np.sum(d**2, axis=-1))
-        if np.any(R < 2 * self.h):
-            raise DomainError("far evaluation point touches the contour")
-        u = d / R[..., None]
-        z = k * R
-        h0 = hankel1(0, z)
-        h1v = hankel1(1, z)
-        nd = np.sum(u * self.nrm[None, :, :], axis=-1)    # u . n'
-        # grad_r g = -(ik/4) H1 u ;  dg/dn' = +(ik/4) H1 (u . n')
-        # grad_r (dg/dn') = (ik/4) [ k H1' u (u.n') + H1 (n' - u (u.n'))/R ]
-        h1p = h0 - h1v / z
-        grad_dgdn = (0.25j * k) * (k * h1p[..., None] * u * nd[..., None]
-                                   + h1v[..., None]
-                                   * (self.nrm[None, :, :] - u * nd[..., None])
-                                   / R[..., None])
-        grad_g = -(0.25j * k) * h1v[..., None] * u
-        # grad_r hz(r) = Int [ hz grad(dg/dn') - grad(g) dhz/dn' ] dl
-        grad_hz = self.h * np.sum(
-            self.hz[None, :, None] * grad_dgdn
-            - grad_g * self.dhz[None, :, None], axis=1)
-        # E = (1/k^2) (d hz/dy, -d hz/dx)
-        return np.stack([grad_hz[:, 1], -grad_hz[:, 0]], axis=-1) / k**2

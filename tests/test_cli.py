@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qnmlab import cli
+from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
 from qnmlab.core import Dipole, DomainError, QnmError
@@ -356,6 +357,22 @@ def test_oracle_margin_is_converged(paper_cfg, monkeypatch):
 def test_oracle_rejects_a_dipole_inside_the_rod(paper_cfg, r_a):
     with pytest.raises(DomainError):
         _oracle(paper_cfg, r_a, (0.0, 1.0))
+    with pytest.raises(DomainError, match="inside the resonator"):
+        cli.oracle_propagator(paper_cfg, r_a, (100e-9, 0.0), ROD_OMEGA)
+
+
+def test_propagator_oracle_margin_is_converged(paper_cfg, monkeypatch):
+    # the paper's source 10 nm off the +x face, its receiver 100 nm on
+    omega = 2 * np.pi * 386.805e12
+    r_a = cli._face_point(paper_cfg.geometry, paper_cfg.prop_source_standoff,
+                          "x")
+    r_b = (r_a[0] + 100e-9, r_a[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = cli.oracle_propagator(paper_cfg, r_a, r_b, omega)
+        monkeypatch.setattr(cli, "ORACLE_MARGIN", cli.ORACLE_MARGIN + 50e-9)
+        assert g == pytest.approx(
+            cli.oracle_propagator(paper_cfg, r_a, r_b, omega), rel=1e-4)
 
 
 def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
@@ -506,6 +523,76 @@ def test_golden_oracle_matches_cylinder_series(tmp_path):
         assert abs(check["far_model"] - series) > 0.5 * series
 
 
+def _golden_omega():
+    golden = json.loads((GOLDEN / "report.json").read_text())
+    return 2 * np.pi * 1e12 * golden["eigenfrequency_thz"]["real"]
+
+
+def _series_propagator(cfg, r_a, r_b, omega):
+    """|G_yy(r_b, r_a)|^2 of the exact cylinder series, normalized as the
+    columns of propagator.csv."""
+    r_a, r_b = np.asarray(r_a), np.asarray(r_b)
+    g = mie_scattered_green(cfg.geometry.radius, cfg.material, cfg.bg, omega,
+                            r_b, r_a) + green_b_2d(r_b, r_a, omega, cfg.bg)
+    return abs(g[1, 1]) ** 2 / im_green_b_diag(omega, cfg.bg) ** 2
+
+
+def test_propagator_oracle_matches_cylinder_series(tmp_path):
+    # the golden propagator's source, 20 nm off the cylinder; at h = 10 nm
+    # the staircase puts the tight-grid oracle 2.3-13.7 % above the series
+    # from 100 to 2000 nm, and halving h halves the error
+    omega = _golden_omega()
+    rel = {}
+    for h, distances in (("10 nm", (100e-9, 300e-9, 2000e-9)),
+                         ("5 nm", (300e-9,))):
+        cfg = RunConfig.load(_coarse_config(
+            tmp_path, grid={"h": h, "half_width": "800 nm",
+                            "pml_cells": 16}))
+        r_a = cli._face_point(cfg.geometry, 20e-9, "x")
+        for d in distances:
+            r_b = (r_a[0] + d, r_a[1])
+            series = _series_propagator(cfg, r_a, r_b, omega)
+            got = cli.oracle_propagator(cfg, r_a, r_b, omega)
+            rel[h, d] = abs(got - series) / series
+    assert max(rel.values()) < 0.15, rel
+    assert rel["5 nm", 300e-9] <= 0.6 * rel["10 nm", 300e-9], rel
+
+
+def test_golden_propagator_oracle_matches_cylinder_series(tmp_path):
+    cfg = RunConfig.load(_golden_config(tmp_path))
+    omega = _golden_omega()
+    header, vals = _read_csv(GOLDEN / "propagator.csv")
+    oracle = vals[:, header.split(",").index("prop_oracle")]
+    assert np.all(np.isfinite(oracle))
+    r_a = cli._face_point(cfg.geometry, cfg.prop_source_standoff, "x")
+    for (x_nm, y_nm), got in zip(vals[:, :2], oracle):
+        series = _series_propagator(cfg, r_a, (x_nm * 1e-9, y_nm * 1e-9),
+                                    omega)
+        assert got == pytest.approx(series, rel=0.15), x_nm
+
+
+def test_coarse_oracle_run_fills_the_propagator_checkpoints(tmp_path):
+    # the coarse cylinder's 50 nm propagator source keeps ORACLE_MARGIN
+    # from the PML of its receiver's grid; each receiver has its own grid,
+    # so a row reads the same whichever other rows are asked
+    path = _coarse_config(tmp_path, oracle={"enabled": True,
+                                            "scan_checkpoints": [0, 1]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    header, vals = _read_csv(out / "propagator.csv")
+    oracle = vals[:, header.split(",").index("prop_oracle")]
+    assert len(oracle) == 2 and np.all(np.isfinite(oracle))
+    cfg = RunConfig.load(path)
+    report = json.loads((out / "report.json").read_text())
+    omega = 2 * np.pi * 1e12 * report["eigenfrequency_thz"]["real"]
+    r_a = cli._face_point(cfg.geometry, cfg.prop_source_standoff, "x")
+    r_b = (r_a[0] + cfg.prop_distances[1], r_a[1])
+    assert cli.oracle_propagator(cfg, r_a, r_b, omega) == \
+        pytest.approx(oracle[1], rel=1e-12)
+
+
 def test_run_solves_each_oracle_point_once(tmp_path, monkeypatch):
     # validate reads the scan's oracle values back from distance.csv
     calls = []
@@ -593,12 +680,9 @@ def test_validate_without_oracle_checks_nothing(tmp_path, monkeypatch):
 
 def test_oracle_run_without_dipoles_checks_nothing(tmp_path):
     # with no dipole the emission stage writes no scan, so validate has no
-    # oracle value to compare and must not ask for one; the golden
-    # propagator keeps its source off the PML of its full-wave grid
+    # oracle value to compare and must not ask for one
     path = _coarse_config(tmp_path, dipoles=[],
-                          oracle={"enabled": True, "scan_checkpoints": [0]},
-                          propagator={"source_standoff": "20 nm",
-                                      "distances": ["100 nm", "300 nm"]})
+                          oracle={"enabled": True, "scan_checkpoints": [0]})
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -20,13 +20,7 @@ from qnmlab.core import (
     Rod2D,
     interior_fraction,
 )
-from qnmlab.solver import (
-    NearToFar,
-    assemble,
-    colocate,
-    curl_cells,
-    solve_dipole,
-)
+from qnmlab.solver import assemble, colocate, curl_cells, solve_dipole
 from qnmlab.solver import fdfd
 
 BG = Background(1.5)
@@ -289,23 +283,23 @@ def test_symmetry_rejects_off_plane_source():
                  symmetry="y")
 
 
-def test_near_to_far_matches_direct_field():
-    # scattered field propagated off a contour agrees with the direct solve
-    grid = _empty_grid(1.2e-6, 6e-9)
-    rod = Rod2D(10e-9, 80e-9)
-    mat = DrudeModel(1.26e16, 7e13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = assemble(grid, rod, mat, BG, OMEGA)
-    sol = solve_dipole(op, Dipole(position=(15e-9, 0), orientation=(0, 1)))
-    ntf = NearToFar((sol.ex_scat, sol.ey_scat), grid, BG, OMEGA.real
-                    if np.iscomplexobj(OMEGA) else OMEGA,
-                    rect=((-150e-9, 150e-9), (-150e-9, 150e-9)))
-    pts = np.array([[430e-9, 120e-9], [-380e-9, -260e-9], [0.0, 450e-9]])
-    e_direct = sol.scattered_field_at(pts)
-    e_ntf = ntf.scattered_field_at(pts)
-    scale = np.abs(e_direct).max()
-    assert np.abs(e_ntf - e_direct).max() < 2e-2 * scale
+@pytest.mark.parametrize("point", [
+    (300e-9, 0.0),        # in the PML, which starts at 240 nm
+    (405e-9, 0.0),        # past the grid's 400 nm edge
+    (0.0, -250e-9),
+])
+def test_sampling_outside_the_interior_box_raises(point):
+    # a sample shares its stencil and its check with a source: neither
+    # returns a PML-damped value or the 0 of a stencil that lost its nodes
+    grid = _empty_grid(0.8e-6, 10e-9, pml_cells=16)
+    op = assemble(grid, None, None, BG, OMEGA)
+    x = op.solve(op.dipole_rhs(Dipole(position=(0.0, 0.0),
+                                      orientation=(0.0, 1.0))))
+    assert np.isfinite(op.sample(x, (240e-9, 0.0), (0.0, 1.0)))
+    with pytest.raises(DomainError, match="outside the PML region"):
+        op.sample(x, point, (0.0, 1.0))
+    with pytest.raises(DomainError, match="dipole must lie outside the PML"):
+        op.dipole_rhs(Dipole(position=point, orientation=(0.0, 1.0)))
 
 
 def test_pml_position_insensitivity_of_dipole_field():
