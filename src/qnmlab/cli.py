@@ -124,6 +124,9 @@ def _load_mode(outdir):
 
 
 def stage_find(cfg: RunConfig, outdir, resolution_override=None):
+    """Clear the artifacts of an earlier run, then find and save the mode.
+    A zero-contrast config has no mode: it gets the unity emission tables
+    instead, and ``None`` is returned."""
     grid = cfg.grid
     if resolution_override is not None:
         h = resolution_override
@@ -133,9 +136,12 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
         half = round(grid.extent[0][1] / h) * h
         grid = GridSpec(extent=((-half, half), (-half, half)), h=h,
                         pml=grid.pml)
+    _clear_artifacts(outdir)
+    if cfg.zero_contrast:
+        _write_zero_contrast(cfg, outdir)
+        return None
     search = PoleSearch(omega_guess=cfg.omega_guess,
                         rel_tol=cfg.pole_rel_tol, max_iter=cfg.pole_max_iter)
-    _clear_artifacts(outdir)
     mode = find_qnm(grid, cfg.geometry, cfg.material, cfg.bg, search,
                     symmetry=cfg.symmetry)
     save_mode(mode, os.path.join(outdir, MODE_FILE))
@@ -459,12 +465,11 @@ def stage_validate(cfg: RunConfig, outdir):
 
 def run_pipeline(cfg: RunConfig, outdir, resolution_override=None):
     os.makedirs(outdir, exist_ok=True)
-    # every run rebuilds its artifacts; the stages add to the report
-    _clear_artifacts(outdir)
-    if cfg.zero_contrast:
-        _write_zero_contrast(cfg, outdir)
-        return
+    # find clears every artifact of an earlier run; the stages add to the
+    # report
     stage_find(cfg, outdir, resolution_override)
+    if cfg.zero_contrast:
+        return
     stage_normalize(cfg, outdir)
     stage_modevol(cfg, outdir)
     stage_se(cfg, outdir)
@@ -499,11 +504,7 @@ def main(argv=None):
         if args.command == "run":
             run_pipeline(cfg, args.out, args.resolution_override)
         elif args.command == "find":
-            if cfg.zero_contrast:
-                _clear_artifacts(args.out)
-                _write_zero_contrast(cfg, args.out)
-            else:
-                stage_find(cfg, args.out, args.resolution_override)
+            stage_find(cfg, args.out, args.resolution_override)
         elif args.command == "normalize":
             stage_normalize(cfg, args.out)
         elif args.command == "modevol":

@@ -1,15 +1,9 @@
-"""Frequency-domain Maxwell solver: operator assembly, the dipole oracle,
-quasinormal-mode pole search, and the analytic cylinder series with its
-exact dipole Green function."""
+"""Frequency-domain Maxwell solver: operator assembly with its driven
+solve and point sampling, quasinormal-mode pole search, and the analytic
+cylinder series with its exact dipole Green function."""
 
 from ..core import bilinear_sample, colocate
-from .fdfd import (
-    DipoleSolution,
-    DiscreteOperator,
-    assemble,
-    curl_cells,
-    solve_dipole,
-)
+from .fdfd import DiscreteOperator, assemble, curl_cells
 from .mie import mie_cylinder, mie_pole, mie_scattered_green
 from .modes import (
     ModeField,
@@ -21,7 +15,6 @@ from .modes import (
 )
 
 __all__ = [
-    "DipoleSolution",
     "DiscreteOperator",
     "ModeField",
     "PoleSearch",
@@ -36,5 +29,4 @@ __all__ = [
     "mie_pole",
     "mie_scattered_green",
     "save_mode",
-    "solve_dipole",
 ]

@@ -104,7 +104,6 @@ class DiscreteOperator:
             raise DomainError("symmetry must be '', 'x', 'y' or 'xy'")
         self._lu = None
         self._matrix = None
-        self._bg_twin = None
         self._build()
 
     # -- geometry of the (possibly reduced) computational domain ------------
@@ -278,13 +277,6 @@ class DiscreteOperator:
             raise ConvergenceError("linear solve produced non-finite values")
         return (self._b.T @ y - b) / self._kdiag
 
-    def background_twin(self):
-        """Same operator with the permittivity contrast removed."""
-        if self._bg_twin is None:
-            self._bg_twin = DiscreteOperator(self.grid, None, None, self.bg,
-                                             self.omega, self.symmetry)
-        return self._bg_twin
-
     # -- sources and sampling -------------------------------------------------
 
     def _fold_node(self, i, j, comp):
@@ -427,45 +419,3 @@ def curl_cells(ex, ey, h):
     """Discrete (curl E)_z on cell centers from node arrays."""
     return (ey[1:, :] - ey[:-1, :]) / h - (ex[:, 1:] - ex[:, :-1]) / h
 
-
-class DipoleSolution:
-    """Numerical Green-function column ``G(., r_a; w) . n_a`` on the grid.
-
-    ``ex/ey`` hold the total field of the discrete delta source; the
-    scattered part (total minus an identical solve with the contrast removed)
-    is the smooth quantity used for emission rates, and the analytic
-    background dyadic supplies the singular part wherever the total Green
-    function is needed.
-    """
-
-    def __init__(self, operator, dipole):
-        if operator.geometry is not None and operator.geometry.inside(
-                np.asarray(dipole.position)):
-            raise DomainError("dipole position lies inside the resonator")
-        self.operator = operator
-        b = operator.dipole_rhs(dipole)
-        x_tot = operator.solve(b)
-        x_bg = operator.background_twin().solve(b)
-        self.ex, self.ey = operator.unpack(x_tot)
-        ex_b, ey_b = operator.unpack(x_bg)
-        self.ex_scat = self.ex - ex_b
-        self.ey_scat = self.ey - ey_b
-        self._g_self_scat = operator.sample(x_tot - x_bg, dipole.position,
-                                            dipole.orientation)
-
-    def self_scattered_green(self) -> complex:
-        """n_a . G_scat(r_a, r_a; w) . n_a at the source point."""
-        return self._g_self_scat
-
-    def scattered_field_at(self, points):
-        """Scattered Green column (N, 2) sampled at arbitrary grid points."""
-        return self.operator.grid.sample_nodes(self.ex_scat, self.ey_scat,
-                                               points)
-
-    def total_field_at(self, points):
-        return self.operator.grid.sample_nodes(self.ex, self.ey, points)
-
-
-def solve_dipole(operator: DiscreteOperator, dipole) -> DipoleSolution:
-    """Full-wave dipole solve: the numerical Green-function oracle."""
-    return DipoleSolution(operator, dipole)

@@ -26,6 +26,7 @@ format: one JSON header line followed by little-endian float64 interleaved
 
 import json
 import logging
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -298,24 +299,10 @@ def _geometry_from_json(d):
     raise DomainError(f"unknown geometry type {d['type']!r}")
 
 
-def _interleave(a):
-    out = np.empty(a.size * 2, dtype="<f8")
-    out[0::2] = a.real.ravel()
-    out[1::2] = a.imag.ravel()
-    return out
-
-
-def _deinterleave(buf, shape):
-    flat = np.frombuffer(buf, dtype="<f8")
-    out = np.empty(flat.size // 2, dtype=complex)
-    out.real = flat[0::2]  # assignment preserves signed zeros bit-exactly
-    out.imag = flat[1::2]
-    return out.reshape(shape)
-
-
 def save_mode(mode: ModeField, path):
     """Write the mode container: JSON header line + raw little-endian
-    float64 interleaved (re, im) payload, E_x then E_y, row-major."""
+    complex128 payload, E_x then E_y, row-major.  A complex128 is its
+    (re, im) float64 pair, so the payload is interleaved float64."""
     header = {
         "format": "qnmlab-mode",
         "version": 1,
@@ -339,20 +326,28 @@ def save_mode(mode: ModeField, path):
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(_interleave(mode.ex).tobytes())
-        fh.write(_interleave(mode.ey).tobytes())
+        for a in (mode.ex, mode.ey):
+            np.asarray(a, dtype="<c16").tofile(fh)
 
 
 def load_mode(path) -> ModeField:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline().decode())
+        except ValueError:  # a first line that is not UTF-8 JSON
+            header = {}
         if header.get("format") != "qnmlab-mode":
             raise DomainError(f"{path} is not a mode container")
         shape_ex = tuple(header["shape_ex"])
         shape_ey = tuple(header["shape_ey"])
-        n_ex = int(np.prod(shape_ex))
-        ex = _deinterleave(fh.read(16 * n_ex), shape_ex)
-        ey = _deinterleave(fh.read(), shape_ey)
+        n_ex, n_ey = int(np.prod(shape_ex)), int(np.prod(shape_ey))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 16 * (n_ex + n_ey):
+            raise DomainError(f"{path}: the payload holds {size} bytes, its "
+                              f"header's shapes need {16 * (n_ex + n_ey)}")
+        # one component at a time, read straight into its array
+        ex = np.fromfile(fh, dtype="<c16", count=n_ex).reshape(shape_ex)
+        ey = np.fromfile(fh, dtype="<c16", count=n_ey).reshape(shape_ey)
     g = header["grid"]
     grid = GridSpec(extent=tuple(tuple(ax) for ax in g["extent"]), h=g["h"],
                     pml=PmlSpec(**g["pml"]))

@@ -11,7 +11,7 @@ from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
 from qnmlab.core import Dipole, DomainError, QnmError
 from qnmlab.observables import se_from_scattered
-from qnmlab.solver import assemble, fdfd, solve_dipole
+from qnmlab.solver import assemble, fdfd
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
 
@@ -337,13 +337,15 @@ def test_oracle_matches_the_same_grid_twin(paper_cfg, r_a, n_a):
     # the background self-term from the cached box, against the background
     # twin on the oracle's own grid
     cfg = paper_cfg
-    op = assemble(cli.oracle_grid(cfg, [r_a]), cfg.geometry, cfg.material,
-                  cfg.bg, ROD_OMEGA)
+    grid = cli.oracle_grid(cfg, [r_a])
+    op = assemble(grid, cfg.geometry, cfg.material, cfg.bg, ROD_OMEGA)
+    twin = assemble(grid, None, None, cfg.bg, ROD_OMEGA)
+    dip = Dipole(position=r_a, orientation=n_a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = solve_dipole(op, Dipole(position=r_a, orientation=n_a))
-    twin = se_from_scattered(sol.self_scattered_green(), ROD_OMEGA, cfg.bg)
-    assert _oracle(cfg, r_a, n_a) == pytest.approx(twin, rel=1e-5)
+        g_scat = op.self_green(dip) - twin.self_green(dip)
+    f_twin = se_from_scattered(g_scat, ROD_OMEGA, cfg.bg)
+    assert _oracle(cfg, r_a, n_a) == pytest.approx(f_twin, rel=1e-5)
 
 
 def test_oracle_margin_is_converged(paper_cfg, monkeypatch):
@@ -714,6 +716,42 @@ def test_zero_contrast_run_leaves_no_stale_artifacts(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == \
         ["distance.csv", "report.json", "spectrum.csv"]
 
+
+
+def test_zero_contrast_find_writes_the_unity_tables(tmp_path):
+    # find clears an earlier run's artifacts and writes the tables that run
+    # writes; a bad override, on find or run, fails before anything goes
+    out = tmp_path / "out"
+    _run(RunConfig.load(_coarse_config(tmp_path)), out)
+    before = sorted(p.name for p in out.iterdir())
+    flat = str(_coarse_config(tmp_path,
+                              material={"type": "constant", "eps": 2.25}))
+    for command in ("find", "run"):
+        assert main([command, "--config", flat, "--out", str(out),
+                     "--resolution-override=0"]) == 2
+        assert sorted(p.name for p in out.iterdir()) == before
+    assert main(["find", "--config", flat, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["distance.csv", "report.json", "spectrum.csv"]
+    assert json.loads((out / "report.json").read_text()) == \
+        {"zero_contrast": True}
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "omega_thz,f_a_background"
+    assert all(float(line.split(",")[1]) == 1.0 for line in lines[1:])
+
+
+def test_mode_file_of_the_wrong_size_exits_1(tmp_path):
+    # a truncated or padded mode.field is reported, not raised
+    path = str(_coarse_config(tmp_path, dipoles=[]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["find", "--config", path, "--out", str(out)]) == 0
+    field = out / "mode.field"
+    good = field.read_bytes()
+    for bad in (good[:-1000], good + b"\0"):
+        field.write_bytes(bad)
+        assert main(["normalize", "--config", path, "--out", str(out)]) == 1
 
 def test_find_starts_fresh_and_reports_pole_search(tmp_path):
     path = _coarse_config(tmp_path, dipoles=[])

@@ -1,7 +1,9 @@
+import json
 import logging
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,9 +128,9 @@ def test_single_pole_lorentzian_fit_of_rod_response():
 
     def scattered_response(w):
         op = assemble(grid, rod, mat, BG, w, symmetry="xy")
+        twin = assemble(grid, None, None, BG, w, symmetry="xy")
         b = op.dipole_rhs(src)
-        return op.sample(op.solve(b) - op.background_twin().solve(b), probe,
-                         (0.0, 1.0))
+        return op.sample(op.solve(b) - twin.solve(b), probe, (0.0, 1.0))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -285,6 +287,52 @@ def test_mode_container_roundtrip_bit_exact(cylinder_modes, tmp_path):
     path2 = tmp_path / "mode2.field"
     save_mode(r, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_mode_file_is_a_header_line_then_float64_pairs(cylinder_modes,
+                                                       tmp_path):
+    # the documented layout, built by hand: one JSON header line, then each
+    # sample as its little-endian float64 (re, im) pair, E_x then E_y, both
+    # row-major; signed zeros survive the round trip
+    m = cylinder_modes[10e-9]
+    ex = m.ex.copy()
+    ex[0, 0], ex[0, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    m = replace(m, ex=ex)
+    path = tmp_path / "mode.field"
+    save_mode(m, path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["shape_ex"] == list(m.ex.shape)
+    assert header["shape_ey"] == list(m.ey.shape)
+    pairs = [np.stack([a.real, a.imag], axis=-1).astype("<f8").tobytes()
+             for a in (m.ex, m.ey)]
+    assert payload == b"".join(pairs)
+    r = load_mode(path)
+    assert r.ex.tobytes() == m.ex.tobytes()
+    assert r.ey.tobytes() == m.ey.tobytes()
+    assert np.signbit(r.ex[0, 0].real) and np.signbit(r.ex[0, 1].imag)
+
+
+def test_mode_file_of_the_wrong_size_raises(cylinder_modes, tmp_path):
+    path = tmp_path / "mode.field"
+    save_mode(cylinder_modes[10e-9], path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    for bad in (payload[:-1000], payload + b"\0"):
+        path.write_bytes(head + b"\n" + bad)
+        with pytest.raises(DomainError) as err:
+            load_mode(path)
+        msg = str(err.value)
+        assert str(path) in msg
+        assert f"{len(bad)} bytes" in msg and str(len(payload)) in msg
+
+
+@pytest.mark.parametrize("data", [b"", b"\xff\xfe\n", b"not json\n"],
+                         ids=["empty", "not-utf8", "not-json"])
+def test_mode_file_without_a_header_raises(tmp_path, data):
+    path = tmp_path / "mode.field"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match="not a mode container"):
+        load_mode(path)
 
 
 def test_mode_value_interpolation(cylinder_modes):
