@@ -18,7 +18,10 @@ Artifacts in the output directory:
                       see :mod:`qnmlab.observables`), tolerance flags
 
 ``run`` and ``find`` first delete every artifact of an earlier run, so the
-directory never mixes two runs.
+directory never mixes two runs.  The config is the one description of a
+run: its ``grid.h`` is the only cell size, and a stage that reads
+``mode.field`` refuses a mode found for another grid, geometry or
+background (exit 1).
 
 The stages run one after another in one thread.  The emission stage
 writes both of its tables by one row rule: F_a of every Green model at
@@ -35,9 +38,10 @@ receiver costs one solve and its value does not depend on which other
 receivers are asked; it samples the total field there.  The emission
 oracle's background self-term comes from a small background-only box.  The factored box operators of the four most
 recently used (box, background, frequency) keys stay in an LRU cache: the
-resonance plus the latest detuned frequencies.  Validate solves nothing:
-it reuses the oracle values that the distance scan wrote to
-``distance.csv`` at the scan checkpoints.
+resonance plus the latest detuned frequencies.  Validate computes
+nothing: it reads both the far model and the oracle at the scan
+checkpoints from the ``f_a_far`` and ``f_a_oracle`` columns that the
+distance scan wrote to ``distance.csv``, and loads no mode.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -112,37 +116,37 @@ def _clear_artifacts(outdir):
             os.remove(path)
 
 
-def _load_mode(outdir):
+def _load_mode(cfg, outdir):
+    """The mode in ``outdir``, refused unless it was found for the grid,
+    geometry and background of ``cfg``."""
     path = os.path.join(outdir, MODE_FILE)
     if not os.path.exists(path):
         raise QnmError(f"{path} not found; run 'qnm find' (and 'normalize') "
                        "first")
-    return load_mode(path)
+    mode = load_mode(path)
+    for what, ours, its in (("grid", cfg.grid, mode.grid),
+                            ("geometry", cfg.geometry, mode.geometry),
+                            ("background", cfg.bg, mode.bg)):
+        if ours != its:
+            raise QnmError(f"{path} holds a mode found for another {what} "
+                           "than the config's; run 'qnm find' first")
+    return mode
 
 
 # -- pipeline stages ----------------------------------------------------------
 
 
-def stage_find(cfg: RunConfig, outdir, resolution_override=None):
+def stage_find(cfg: RunConfig, outdir):
     """Clear the artifacts of an earlier run, then find and save the mode.
     A zero-contrast config has no mode: it gets the unity emission tables
     instead, and ``None`` is returned."""
-    grid = cfg.grid
-    if resolution_override is not None:
-        h = resolution_override
-        if not (np.isfinite(h) and h > 0):
-            raise ConfigError(f"--resolution-override must be a finite "
-                              f"positive length, got {h!r}")
-        half = round(grid.extent[0][1] / h) * h
-        grid = GridSpec(extent=((-half, half), (-half, half)), h=h,
-                        pml=grid.pml)
     _clear_artifacts(outdir)
     if cfg.zero_contrast:
         _write_zero_contrast(cfg, outdir)
         return None
     search = PoleSearch(omega_guess=cfg.omega_guess,
                         rel_tol=cfg.pole_rel_tol, max_iter=cfg.pole_max_iter)
-    mode = find_qnm(grid, cfg.geometry, cfg.material, cfg.bg, search,
+    mode = find_qnm(cfg.grid, cfg.geometry, cfg.material, cfg.bg, search,
                     symmetry=cfg.symmetry)
     save_mode(mode, os.path.join(outdir, MODE_FILE))
     freq = mode.frequency
@@ -171,7 +175,7 @@ def stage_find(cfg: RunConfig, outdir, resolution_override=None):
 
 
 def stage_normalize(cfg: RunConfig, outdir):
-    mode = _load_mode(outdir)
+    mode = _load_mode(cfg, outdir)
     if mode.norm_state == "normalized":
         log.info("mode already normalized")
         return mode
@@ -187,7 +191,7 @@ def stage_normalize(cfg: RunConfig, outdir):
 
 
 def stage_modevol(cfg: RunConfig, outdir):
-    mode = _load_mode(outdir)
+    mode = _load_mode(cfg, outdir)
     if mode.norm_state != "normalized":
         raise QnmError("mode is not normalized; run 'qnm normalize' first")
     scan = norm_scan(mode, cfg.material, cfg.bg, cfg.norm_clearances)
@@ -341,7 +345,7 @@ def stage_se(cfg: RunConfig, outdir):
     if not cfg.dipoles:
         log.info("no dipoles configured; skipping emission artifacts")
         return
-    mode = _load_mode(outdir)
+    mode = _load_mode(cfg, outdir)
     models = _build_models(cfg, mode)
     freq = mode.frequency
     header = [f"f_a_{c}" for c in _columns(cfg, models)]
@@ -388,7 +392,7 @@ def _write_zero_contrast(cfg, outdir):
 def stage_propagate(cfg: RunConfig, outdir):
     if cfg.zero_contrast or cfg.prop_source_standoff is None:
         return
-    mode = _load_mode(outdir)
+    mode = _load_mode(cfg, outdir)
     models = _build_models(cfg, mode)
     omega = mode.frequency.omega
     r_a = _face_point(cfg.geometry, cfg.prop_source_standoff, "x")
@@ -410,20 +414,20 @@ def stage_propagate(cfg: RunConfig, outdir):
               rows)
 
 
-def _scan_oracle(outdir, points):
-    """The oracle's F_a at the given distance-scan rows, read back from the
-    ``f_a_oracle`` column of ``distance.csv`` (17 digits, so exact)."""
+def _scan_column(outdir, name, points):
+    """Column ``name`` of ``distance.csv`` at the given scan rows, read back
+    as the emission stage wrote it (17 digits, so exact)."""
     path = os.path.join(outdir, "distance.csv")
     column = []
     if os.path.exists(path):
         with open(path) as fh:
             rows = [line.split(",") for line in fh.read().splitlines()]
-        if "f_a_oracle" in rows[0]:
-            k = rows[0].index("f_a_oracle")
+        if name in rows[0]:
+            k = rows[0].index(name)
             column = [float(row[k]) for row in rows[1:]]
     values = [column[i] if i < len(column) else math.nan for i in points]
     if any(math.isnan(v) for v in values):
-        raise QnmError(f"{path} holds no oracle value at the scan "
+        raise QnmError(f"{path} holds no {name} value at the scan "
                        "checkpoints; run 'qnm se' with the oracle on first")
     return values
 
@@ -431,28 +435,23 @@ def _scan_oracle(outdir, points):
 def stage_validate(cfg: RunConfig, outdir):
     """Compare the far model against the full-wave oracle on resonance.
 
-    The oracle values are the ones ``stage_se`` wrote to ``distance.csv``
-    at the scan checkpoints, so validate solves nothing.  With the oracle
-    off, no dipole configured (so no emission stage wrote a scan), or no
-    checkpoint on the scan path, nothing is compared: ``oracle_checks`` is
-    empty and ``tolerances_met`` is null, never a pass.
+    Both values are the ones ``stage_se`` wrote to ``distance.csv`` at the
+    scan checkpoints, so validate computes nothing and loads no mode.
+    With the oracle off, no dipole configured (so no emission stage wrote a
+    scan), or no checkpoint on the scan path, nothing is compared:
+    ``oracle_checks`` is empty and ``tolerances_met`` is null, never a
+    pass.
     """
     if cfg.zero_contrast:
         return
-    path = _scan_path(cfg)
     checkpoints = cfg.oracle_scan_checkpoints \
         if cfg.oracle_enabled and cfg.dipoles else []
-    points = [i for i in checkpoints if i < len(path)]
+    points = [i for i in checkpoints if i < len(cfg.scan_standoffs)]
     checks = {}
     if points:
-        oracle = _scan_oracle(outdir, points)
-        mode = _load_mode(outdir)
-        far = far_green_model(
-            RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg))
-        omega = mode.frequency.omega
-        for i, f_oracle in zip(points, oracle):
-            p = path[i]
-            f_model = se_enhancement(far, p, cfg.scan_orientation, omega)
+        far = _scan_column(outdir, "f_a_far", points)
+        oracle = _scan_column(outdir, "f_a_oracle", points)
+        for i, f_model, f_oracle in zip(points, far, oracle):
             rel = abs(f_model - f_oracle) / abs(f_oracle)
             checks[f"standoff_{cfg.scan_standoffs[i] * 1e9:.3g}nm"] = {
                 "far_model": f_model, "oracle": f_oracle, "rel_diff": rel,
@@ -463,11 +462,11 @@ def stage_validate(cfg: RunConfig, outdir):
                                    "tolerances_met": ok})
 
 
-def run_pipeline(cfg: RunConfig, outdir, resolution_override=None):
+def run_pipeline(cfg: RunConfig, outdir):
     os.makedirs(outdir, exist_ok=True)
     # find clears every artifact of an earlier run; the stages add to the
     # report
-    stage_find(cfg, outdir, resolution_override)
+    stage_find(cfg, outdir)
     if cfg.zero_contrast:
         return
     stage_normalize(cfg, outdir)
@@ -481,17 +480,18 @@ def run_pipeline(cfg: RunConfig, outdir, resolution_override=None):
 
 
 def main(argv=None):
+    # built per call, so a stage replaced on this module is the one called
+    commands = {"find": stage_find, "normalize": stage_normalize,
+                "modevol": stage_modevol, "se": stage_se,
+                "propagate": stage_propagate, "validate": stage_validate,
+                "run": run_pipeline}
     parser = argparse.ArgumentParser(
         prog="qnm",
         description="Quasinormal modes and emission enhancement of 2D "
                     "metal nanoresonators")
-    parser.add_argument("command",
-                        choices=["find", "normalize", "modevol", "se",
-                                 "propagate", "validate", "run"])
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="qnm-out")
-    parser.add_argument("--resolution-override", type=float, default=None,
-                        help="cell size in meters, replaces grid.h")
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -501,20 +501,7 @@ def main(argv=None):
     try:
         cfg = RunConfig.load(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "run":
-            run_pipeline(cfg, args.out, args.resolution_override)
-        elif args.command == "find":
-            stage_find(cfg, args.out, args.resolution_override)
-        elif args.command == "normalize":
-            stage_normalize(cfg, args.out)
-        elif args.command == "modevol":
-            stage_modevol(cfg, args.out)
-        elif args.command == "se":
-            stage_se(cfg, args.out)
-        elif args.command == "propagate":
-            stage_propagate(cfg, args.out)
-        elif args.command == "validate":
-            stage_validate(cfg, args.out)
+        commands[args.command](cfg, args.out)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return 2

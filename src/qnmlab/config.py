@@ -103,17 +103,14 @@ def _parse_material(d):
 
 
 def _parse_grid(d):
-    _check_keys(d, {"h", "half_width", "pml_cells", "pml_order",
-                    "pml_reflection"}, "grid")
+    _check_keys(d, {"h", "half_width", "pml_cells"}, "grid")
     h = parse_quantity(d["h"], "length", "grid.h")
     if not h > 0:
         raise ConfigError("grid.h must be positive")
     half = parse_quantity(d["half_width"], "length", "grid.half_width")
     half = round(half / h) * h  # whole cells per half: even total count
-    pml = PmlSpec(cells=int(d.get("pml_cells", 20)),
-                  order=int(d.get("pml_order", 3)),
-                  target_reflection=float(d.get("pml_reflection", 1e-8)))
-    return GridSpec(extent=((-half, half), (-half, half)), h=h, pml=pml)
+    return GridSpec(extent=((-half, half), (-half, half)), h=h,
+                    pml=PmlSpec(cells=int(d.get("pml_cells", 20))))
 
 
 def _parse_complex_freq(d, where):
@@ -222,6 +219,9 @@ class RunConfig:
         self.oracle_spectrum_stride = int(oracle.get("spectrum_stride", 4))
         self.oracle_scan_checkpoints = [
             int(i) for i in oracle.get("scan_checkpoints", [])]
+        if self.oracle_enabled and "far" not in self.variants:
+            # validate compares the scan's f_a_far column with the oracle
+            raise ConfigError("oracle.enabled needs the 'far' variant")
         for where, ok in checks + [
                 ("geometry.center", len(self.geometry.center) == 2),
                 ("pole_search.rel_tol", 0 < self.pole_rel_tol < np.inf),

@@ -344,6 +344,25 @@ def interior_fraction(inside, pts, h):
     return frac / 4.0
 
 
+def contrast_block(xs, ys, geometry, h):
+    """The node block of the lattice ``xs`` x ``ys`` round the resonator
+    that can hold contrast: the nodes within its bounding box widened by
+    h, edges included.  Returns the index pair of slices, the points of
+    the block (nx', ny', 2) and their :func:`interior_fraction`.  The
+    probes sit 1e-6 h from their node, so every node outside the block has
+    fraction 0.  The discrete operator and the regularized field both read
+    the contrast from here; the full node meshes are 11 MB each on the
+    paper grid, the block a few kB.
+    """
+    (bx0, bx1), (by0, by1) = geometry.bounding_box
+    idx = (slice(np.searchsorted(xs, bx0 - h),
+                 np.searchsorted(xs, bx1 + h, "right")),
+           slice(np.searchsorted(ys, by0 - h),
+                 np.searchsorted(ys, by1 + h, "right")))
+    pts = _mesh(xs[idx[0]], ys[idx[1]])
+    return idx, pts, interior_fraction(geometry.inside, pts, h)
+
+
 @dataclass(frozen=True)
 class PmlSpec:
     """Perfectly matched layer: thickness in cells, polynomial grading order,
@@ -409,21 +428,6 @@ class GridSpec:
         """Cell-center points, shape (Nx, Ny, 2).  Built on each call: at
         the paper's 840 x 840 cells it is 11 MB, too much to keep."""
         return _mesh(*self.cell_centers())
-
-    def node_blocks(self, box):
-        """The E_x and E_y nodes inside ``box`` ((x0, x1), (y0, y1)), edges
-        included: for each component the index pair of slices into its node
-        array and the points of that sub-block, (nx', ny', 2).  A box round
-        a resonator keeps the block small; the full meshes (Nx, Ny+1, 2) and
-        (Nx+1, Ny, 2) are 11 MB each on the paper grid."""
-        xi, xh, yi, yh = self.node_axes()
-        (x0, x1), (y0, y1) = box
-        blocks = []
-        for xs, ys in ((xh, yi), (xi, yh)):
-            idx = (slice(np.searchsorted(xs, x0), np.searchsorted(xs, x1, "right")),
-                   slice(np.searchsorted(ys, y0), np.searchsorted(ys, y1, "right")))
-            blocks.append((idx, _mesh(xs[idx[0]], ys[idx[1]])))
-        return blocks
 
     def sample(self, cells, points):
         """Bilinear samples of a cell-centered array at ``points`` (N, 2)."""

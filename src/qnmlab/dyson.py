@@ -26,7 +26,7 @@ steep 1/R^2 kernel needs below ~10 nm standoffs.
 import numpy as np
 
 from .background import green_b_2d
-from .core import Background, DomainError, interior_fraction
+from .core import Background, DomainError, contrast_block
 from .solver.modes import ModeField
 
 __all__ = [
@@ -56,8 +56,8 @@ class RegularizedField:
     frequency); points must lie outside the resonator.  The contrast is
     evaluated at the requested (real) frequency, not at the eigenfrequency.
 
-    The build gathers the source nodes from the node block round the
-    resonator's bounding box (plus one cell), not from the full node
+    The build gathers the source nodes from the contrast block round the
+    resonator (:func:`qnmlab.core.contrast_block`), not from the full node
     arrays.  An evaluation sums the far nodes in one kernel call and the
     subdivided near nodes in one call per distinct subdivision, then adds
     the near-node patches to the total one at a time in node order: the
@@ -75,17 +75,13 @@ class RegularizedField:
         self.near_factor = near_factor
         self.max_subdiv = max_subdiv
         self.base_subdiv = base_subdiv
-        grid = mode.grid
-        h = grid.h
-        # every node with a nonzero interior fraction lies within 1e-6 h of
-        # the resonator, so the block round its bounding box plus one cell
-        # holds them all, in the same order as the full node arrays
-        (bx0, bx1), (by0, by1) = geometry.bounding_box
-        box = ((bx0 - h, bx1 + h), (by0 - h, by1 + h))
+        xi, xh, yi, yh = mode.grid.node_axes()
+        # the contrast block holds every node with a nonzero interior
+        # fraction, in the same order as the full node arrays
         src_pts, src_amp, src_comp = [], [], []
-        for comp, ((idx, pts), field) in enumerate(zip(grid.node_blocks(box),
-                                                       (mode.ex, mode.ey))):
-            frac = interior_fraction(geometry.inside, pts, h)
+        for comp, (xs, ys, field) in enumerate(((xh, yi, mode.ex),
+                                                (xi, yh, mode.ey))):
+            idx, pts, frac = contrast_block(xs, ys, geometry, mode.grid.h)
             sel = frac > 0
             src_pts.append(pts[sel])
             src_amp.append(field[idx][sel] * frac[sel])

@@ -47,8 +47,6 @@ exact Galerkin projection of the full symmetric operator, so eigenpairs and
 driven solutions coincide with the full-grid ones.
 """
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -59,7 +57,7 @@ from ..core import (
     ConvergenceError,
     DomainError,
     GridSpec,
-    interior_fraction,
+    contrast_block,
 )
 
 _SPLU_OPTS = dict(SymmetricMode=True, DiagPivotThresh=0.01)
@@ -162,19 +160,11 @@ class DiscreteOperator:
         def eps_nodes(xs, ys):
             # staircase at the node position; a node exactly on the material
             # boundary (tangential E there) is weighted by its interior
-            # fraction.  The probes sit 1e-6 h from their node, so only the
-            # block round the bounding box plus one cell can hold a nonzero
-            # fraction; every other node keeps 0
+            # fraction, nonzero only in the block round the resonator
             frac = np.zeros((len(xs), len(ys)))
             if geometry is not None:
-                (bx0, bx1), (by0, by1) = geometry.bounding_box
-                bi = slice(np.searchsorted(xs, bx0 - h),
-                           np.searchsorted(xs, bx1 + h, "right"))
-                bj = slice(np.searchsorted(ys, by0 - h),
-                           np.searchsorted(ys, by1 + h, "right"))
-                pts = np.stack(np.meshgrid(xs[bi], ys[bj], indexing="ij"),
-                               axis=-1)
-                frac[bi, bj] = interior_fraction(geometry.inside, pts, h)
+                idx, _, block = contrast_block(xs, ys, geometry, h)
+                frac[idx] = block
             return eps_b + (eps_mnp - eps_b) * frac
 
         eps_x = eps_nodes(xh, yi[1:ny])        # (nx, ny-1)
@@ -220,8 +210,6 @@ class DiscreteOperator:
         self._b = sp.csr_matrix((vals[keep], cols[keep], indptr),
                                 shape=(self.n_hz, self.n_e))
 
-        self._warn_diagnostics()
-
     def _iy0(self):
         return 0 if self.mirror_x else 1
 
@@ -230,16 +218,6 @@ class DiscreteOperator:
 
     def _idx_ey(self, i, j):
         return self.n_ex + (i - self._iy0()) * self.ny + j
-
-    def _warn_diagnostics(self):
-        if self.geometry is None or not hasattr(self.geometry, "bounding_box"):
-            return
-        (bx0, bx1), (by0, by1) = self.geometry.bounding_box
-        feature = min(bx1 - bx0, by1 - by0)
-        if feature < 10 * self.h:
-            warnings.warn(
-                f"smallest geometric feature ({feature:.3g} m) is resolved by "
-                f"fewer than 10 cells at h={self.h:.3g} m", stacklevel=3)
 
     # -- linear algebra ------------------------------------------------------
 

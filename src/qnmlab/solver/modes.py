@@ -155,7 +155,8 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     eigen-residual less than tenfold.  ``symmetry`` ("x", "y", "xy") solves
     the mirror-reduced problem when geometry and source allow it.  Warns
     when the grid leaves less than one free-space wavelength (at the guess)
-    between the resonator and its edge.  Raises
+    between the resonator and its edge, or resolves the resonator's
+    smallest side by fewer than 10 cells.  Raises
     :class:`PoleSearchError` when an iterate leaves the search basin, when
     ``max_iter`` outer iterates do not converge, or when more than one pole
     lies in the basin (with ``verify_isolation``).
@@ -163,7 +164,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     source = source or _default_source(geometry)
     sigma = complex(search.omega_guess)
     basin = search.basin_radius or 0.25 * abs(sigma)
-    _warn_margin(grid, geometry, sigma)
+    _warn_grid(grid, geometry, sigma)
 
     def operator(w):
         # each Rayleigh secant starts at the current omega: reuse its operator
@@ -224,9 +225,10 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
                      pole_shifts=tuple(shifts))
 
 
-def _warn_margin(grid, geometry, omega):
-    # the mode's outgoing tail needs room before the PML; driven solves on
-    # tight grids (the oracle) check their own margin instead
+def _warn_grid(grid, geometry, omega):
+    # the grid is judged once, here: the mode's outgoing tail needs room
+    # before the PML, and the resonator needs cells across.  The oracle's
+    # tight grids share h with the mode and check their own margin
     lam0 = 2 * np.pi * C0 / abs(omega)
     (bx0, bx1), (by0, by1) = geometry.bounding_box
     (gx0, gx1), (gy0, gy1) = grid.extent
@@ -235,6 +237,11 @@ def _warn_margin(grid, geometry, omega):
         warnings.warn(
             f"margin between resonator and grid edge ({margin:.3g} m) is "
             f"below one free-space wavelength ({lam0:.3g} m)", stacklevel=3)
+    feature = min(bx1 - bx0, by1 - by0)
+    if feature < 10 * grid.h:
+        warnings.warn(
+            f"smallest geometric feature ({feature:.3g} m) is resolved by "
+            f"fewer than 10 cells at h={grid.h:.3g} m", stacklevel=3)
 
 
 def _resolve(grid, geometry, material, bg, omega, symmetry, source):
@@ -334,12 +341,15 @@ def load_mode(path) -> ModeField:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode())
-        except ValueError:  # a first line that is not UTF-8 JSON
-            header = {}
-        if header.get("format") != "qnmlab-mode":
+            is_mode = header["format"] == "qnmlab-mode"
+            shape_ex, shape_ey = (tuple(int(n) for n in header[key])
+                                  for key in ("shape_ex", "shape_ey"))
+        except (ValueError, TypeError, KeyError):
+            # a first line that is not UTF-8 JSON, not an object, or without
+            # integer shapes
+            is_mode = False
+        if not is_mode:
             raise DomainError(f"{path} is not a mode container")
-        shape_ex = tuple(header["shape_ex"])
-        shape_ey = tuple(header["shape_ey"])
         n_ex, n_ey = int(np.prod(shape_ex)), int(np.prod(shape_ey))
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != 16 * (n_ex + n_ey):

@@ -79,6 +79,13 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="tyop"):
         RunConfig.load(path)
+    # the PML grading is not configurable: its keys are unknown too
+    for key, value in (("pml_order", 3), ("pml_reflection", 1e-8)):
+        path = _coarse_config(tmp_path, grid={"h": "10 nm",
+                                              "half_width": "800 nm",
+                                              key: value})
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(path)
 
 
 def test_missing_section_rejected(tmp_path):
@@ -168,34 +175,16 @@ def test_cli_entry_point_staged_commands(tmp_path):
                  "--out", str(out)]) == 2
 
 
-def test_threads_option_is_gone(tmp_path):
-    # the stages run serially; argparse rejects the old thread count
+@pytest.mark.parametrize("option", [["--threads", "2"],
+                                    ["--resolution-override", "20e-9"]],
+                         ids=["threads", "resolution-override"])
+def test_removed_option_exits_2(tmp_path, option):
+    # the stages run serially, and grid.h is the one cell size: argparse
+    # rejects the old thread count and the old second cell size
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(_coarse_config(tmp_path)),
-              "--out", str(tmp_path / "out"), "--threads", "2"])
+              "--out", str(tmp_path / "out"), *option])
     assert exc.value.code == 2
-
-
-def test_resolution_override(tmp_path):
-    path = _coarse_config(tmp_path, dipoles=[])
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["find", "--config", str(path), "--out", str(out),
-                     "--resolution-override", "20e-9"]) == 0
-    from qnmlab.solver import load_mode
-    mode = load_mode(out / "mode.field")
-    assert mode.grid.h == pytest.approx(20e-9)
-
-
-@pytest.mark.parametrize("command", ["find", "run"])
-def test_resolution_override_must_be_finite_positive(tmp_path, command):
-    # 0 used to end in a ZeroDivisionError and nan in a ValueError
-    path = _coarse_config(tmp_path, dipoles=[])
-    for bad in ("0", "nan", "inf", "-10e-9"):
-        assert main([command, "--config", str(path), "--out",
-                     str(tmp_path / "out"),
-                     f"--resolution-override={bad}"]) == 2, bad
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -651,7 +640,8 @@ def test_oracle_runs_only_at_the_stride_and_the_checkpoints(tmp_path,
 
 @pytest.mark.parametrize("distance_csv", [
     None, "standoff_nm,f_a_f,f_a_far\n20,1.5,1.4\n40,1.2,1.1\n",
-    "standoff_nm,f_a_f,f_a_oracle\n20,1.5,nan\n40,1.2,nan\n"])
+    "standoff_nm,f_a_f,f_a_oracle\n20,1.5,nan\n40,1.2,nan\n",
+    "standoff_nm,f_a_f,f_a_oracle\n20,1.5,1.4\n40,1.2,1.1\n"])
 def test_validate_without_the_scan_oracle_points_to_se(tmp_path,
                                                        distance_csv):
     cfg = RunConfig.load(_golden_config(tmp_path))
@@ -720,16 +710,11 @@ def test_zero_contrast_run_leaves_no_stale_artifacts(tmp_path):
 
 def test_zero_contrast_find_writes_the_unity_tables(tmp_path):
     # find clears an earlier run's artifacts and writes the tables that run
-    # writes; a bad override, on find or run, fails before anything goes
+    # writes
     out = tmp_path / "out"
     _run(RunConfig.load(_coarse_config(tmp_path)), out)
-    before = sorted(p.name for p in out.iterdir())
     flat = str(_coarse_config(tmp_path,
                               material={"type": "constant", "eps": 2.25}))
-    for command in ("find", "run"):
-        assert main([command, "--config", flat, "--out", str(out),
-                     "--resolution-override=0"]) == 2
-        assert sorted(p.name for p in out.iterdir()) == before
     assert main(["find", "--config", flat, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == \
         ["distance.csv", "report.json", "spectrum.csv"]
@@ -749,9 +734,64 @@ def test_mode_file_of_the_wrong_size_exits_1(tmp_path):
         assert main(["find", "--config", path, "--out", str(out)]) == 0
     field = out / "mode.field"
     good = field.read_bytes()
-    for bad in (good[:-1000], good + b"\0"):
+    # and so is a JSON first line that is not a mode header
+    header, payload = good.split(b"\n", 1)
+    shapeless = {**json.loads(header), "shape_ex": "ab"}
+    for bad in (good[:-1000], good + b"\0",
+                *(json.dumps(h).encode() + b"\n" + payload
+                  for h in ([1], {"format": "qnmlab-mode"}, shapeless))):
         field.write_bytes(bad)
         assert main(["normalize", "--config", path, "--out", str(out)]) == 1
+
+
+def test_mode_of_another_config_exits_1(tmp_path):
+    # a stage refuses a mode found for another background, and leaves it
+    path = str(_coarse_config(tmp_path, dipoles=[]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["find", "--config", path, "--out", str(out)]) == 0
+    raw = (out / "mode.field").read_bytes()
+    other = str(_coarse_config(tmp_path, dipoles=[], background={"n": 1.4}))
+    assert main(["normalize", "--config", other, "--out", str(out)]) == 1
+    assert (out / "mode.field").read_bytes() == raw
+
+
+def test_validate_reads_both_values_from_the_scan(tmp_path, monkeypatch):
+    # validate loads no mode: with mode.field gone it still compares the
+    # scan's far and oracle columns, value for value
+    monkeypatch.setattr(cli, "oracle_se", lambda cfg, r_a, n_a, omega: 42.0)
+    cfg = RunConfig.load(_coarse_config(
+        tmp_path,
+        distance_scan={"axis": "y", "standoffs": ["50 nm", "150 nm",
+                                                  "250 nm"],
+                       "orientation": [0, 1]},
+        propagator={},
+        oracle={"enabled": True, "spectrum_stride": 2,
+                "scan_checkpoints": [1, 2]}))
+    out = _run(cfg, tmp_path / "out")
+    (out / "mode.field").unlink()
+    report = cli.stage_validate(cfg, str(out))
+    header, scan = _read_csv(out / "distance.csv")
+    columns = header.split(",")
+    far = scan[:, columns.index("f_a_far")]
+    checks = report["oracle_checks"]
+    assert [c["far_model"] for c in checks.values()] == list(far[1:])
+    assert [c["oracle"] for c in checks.values()] == [42.0, 42.0]
+    assert list(checks) == ["standoff_150nm", "standoff_250nm"]
+
+
+def test_oracle_needs_the_far_variant(tmp_path):
+    # validate compares the far column with the oracle: without it the
+    # config is refused before anything runs
+    path = _coarse_config(tmp_path, variants=["f"],
+                          oracle={"enabled": True, "scan_checkpoints": [0]})
+    with pytest.raises(ConfigError, match="far"):
+        RunConfig.load(path)
+    assert main(["find", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
 
 def test_find_starts_fresh_and_reports_pole_search(tmp_path):
     path = _coarse_config(tmp_path, dipoles=[])

@@ -15,6 +15,7 @@ from qnmlab.core import (
     SurfacePlane,
     bilinear_sample,
     colocate,
+    contrast_block,
     interior_fraction,
     lattice_coords,
 )
@@ -154,15 +155,19 @@ def test_face_nodes_classify_alike_on_asymmetric_extents():
     h, pml = 2.5e-9, PmlSpec(cells=24)
     sym = GridSpec(extent=((-1050e-9, 1050e-9), (-1050e-9, 1050e-9)), h=h,
                    pml=pml)
-    box = ((-10e-9, 10e-9), (-45e-9, 45e-9))
+
+    def blocks(grid):
+        xi, xh, yi, yh = grid.node_axes()
+        return [contrast_block(xs, ys, rod, h)[1:]
+                for xs, ys in ((xh, yi), (xi, yh))]
+
     for extent in (((-245e-9, 500e-9), (-190e-9, 600e-9)),
                    ((-165e-9, 170e-9), (-700e-9, 200e-9))):
         tight = GridSpec(extent=extent, h=h, pml=pml)
-        for (_, want), (_, got) in zip(sym.node_blocks(box),
-                                       tight.node_blocks(box)):
+        for (want, want_frac), (got, got_frac) in zip(blocks(sym),
+                                                      blocks(tight)):
             assert np.array_equal(got, want)
-            assert np.array_equal(interior_fraction(rod.inside, got, h),
-                                  interior_fraction(rod.inside, want, h))
+            assert np.array_equal(got_frac, want_frac)
 
 
 def test_cylinder_and_halfspace_inside():
@@ -257,20 +262,28 @@ def test_sample_nodes_equals_sampling_the_colocated_arrays():
 
 
 def test_node_blocks_cut_the_node_lattice():
-    grid = GridSpec(extent=((-60e-9, 80e-9), (-50e-9, 50e-9)), h=2e-9,
+    # contrast_block's block is the nodes within the resonator's bounding
+    # box widened by h, and no node outside it holds contrast
+    h = 2e-9
+    grid = GridSpec(extent=((-60e-9, 80e-9), (-50e-9, 50e-9)), h=h,
                     pml=PmlSpec(cells=8))
     xi, xh, yi, yh = grid.node_axes()
+    rod = Rod2D(width=10e-9, length=36e-9, center=(2e-9, 0.0))
     box = ((-5e-9, 9e-9), (-20e-9, 20e-9))
-    for ((ix, iy), pts), (xs, ys) in zip(grid.node_blocks(box),
-                                         ((xh, yi), (xi, yh))):
+    for xs, ys in ((xh, yi), (xi, yh)):
+        (ix, iy), pts, frac = contrast_block(xs, ys, rod, h)
         full = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
         assert np.array_equal(pts, full[ix, iy])
         within = ((full[..., 0] >= box[0][0]) & (full[..., 0] <= box[0][1])
                   & (full[..., 1] >= box[1][0]) & (full[..., 1] <= box[1][1]))
         assert within.sum() == pts.shape[0] * pts.shape[1] > 0
+        everywhere = interior_fraction(rod.inside, full, h)
+        assert np.array_equal(frac, everywhere[ix, iy])
+        assert everywhere.sum() == frac.sum() > 0
     # a box edge on a node line includes that line
-    _, pts = grid.node_blocks(((-5e-9, 9e-9), (-2e-9, 2e-9)))[0]
-    assert np.array_equal(pts[0, :, 1], [-2e-9, 0.0, 2e-9])
+    thin = Rod2D(width=10e-9, length=4e-9, center=(2e-9, 0.0))
+    _, pts, _ = contrast_block(xh, yi, thin, h)
+    assert np.array_equal(pts[0, :, 1], [-4e-9, -2e-9, 0.0, 2e-9, 4e-9])
 
 
 def test_dipole_normalizes_orientation():

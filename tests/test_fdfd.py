@@ -20,7 +20,8 @@ from qnmlab.core import (
     Rod2D,
     interior_fraction,
 )
-from qnmlab.solver import assemble, colocate, curl_cells
+from qnmlab import core
+from qnmlab.solver import PoleSearch, assemble, colocate, curl_cells, find_qnm
 from qnmlab.solver import fdfd
 
 BG = Background(1.5)
@@ -85,10 +86,17 @@ def test_operator_is_complex_symmetric():
 
 
 def test_under_resolved_feature_warns():
-    grid = _empty_grid(0.6e-6, 10e-9)
-    rod = Rod2D(width=50e-9, length=200e-9)  # 5 cells across
-    with pytest.warns(UserWarning, match="fewer than 10 cells"):
-        assemble(grid, rod, DrudeModel(1.26e16, 7e13), BG, OMEGA)
+    # the grid is judged once, by the pole search, not by each of its
+    # assemblies: the paper rod's 10 nm width spans 2 cells at h = 5 nm
+    grid = _empty_grid(0.68e-6, 5e-9, pml_cells=16)
+    rod = Rod2D(width=10e-9, length=80e-9)
+    search = PoleSearch(omega_guess=2 * np.pi * (358e12 - 25e12j))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        find_qnm(grid, rod, DrudeModel(1.26e16, 7e13), BG, search,
+                 symmetry="xy")
+    under = [w for w in caught if "fewer than 10 cells" in str(w.message)]
+    assert [w.category for w in under] == [UserWarning]
 
 
 def test_dipole_solve_in_empty_domain_matches_analytic_background():
@@ -417,7 +425,7 @@ def test_assembly_probes_only_the_nodes_near_the_resonator(monkeypatch):
         counts.append(pts[..., 0].size)
         return interior_fraction(inside, pts, h)
 
-    monkeypatch.setattr(fdfd, "interior_fraction", counting)
+    monkeypatch.setattr(core, "interior_fraction", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for symmetry in ("", "xy"):
