@@ -196,11 +196,11 @@ def stage_modevol(cfg: RunConfig, outdir):
         raise QnmError("mode is not normalized; run 'qnm normalize' first")
     scan = norm_scan(mode, cfg.material, cfg.bg, cfg.norm_clearances)
     mv = mode_volume(mode, cfg.bg)
-    ff0 = np.sum(mode.value_at([mv.r0])[0] ** 2)
     rows = []
     for b in scan:
-        # running V_eff: normalize against this clearance's total
-        v_q = b.total / (cfg.bg.eps_b * ff0)
+        # running V_eff: normalize against this clearance's total, with the
+        # f(r0).f(r0) of the reported v_q
+        v_q = b.total * mv.v_q
         v_run = 1.0 / np.real(1.0 / v_q)
         rows.append((b.domain_half_width * 1e9,
                      b.volume_term.real, b.volume_term.imag,

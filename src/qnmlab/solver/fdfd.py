@@ -31,6 +31,10 @@ through the exact Schur complement on the h_z unknowns,
 
 which is a scalar five-point system with half the unknowns and far lower LU
 fill than the vector form; the solution is algebraically identical.
+``solve`` factors it in complex128; ``sweep`` factors it in complex64 and
+returns one unrefined pass, the approximate shift-inverse that the pole
+search's residual inverse iteration needs, at half the factor's bytes.
+Every driven solve goes through ``solve``.
 
 A point source and a point sample share one bilinear stencil per
 component: at most 4 E_x and 4 E_y nodes round the point, folded back
@@ -101,6 +105,7 @@ class DiscreteOperator:
         if not set(self.symmetry) <= {"x", "y"}:
             raise DomainError("symmetry must be '', 'x', 'y' or 'xy'")
         self._lu = None
+        self._lu32 = None
         self._matrix = None
         self._build()
 
@@ -234,26 +239,40 @@ class DiscreteOperator:
         """Matrix-vector product ``A x`` without forming the matrix."""
         return self._b.T @ (self._mdiag * (self._b @ x)) - self._kdiag * x
 
-    def _factorize(self):
-        if self._lu is None:
-            binv = self._b.multiply((1.0 / self._kdiag)[None, :]).tocsr()
-            schur = (binv @ self._b.T
-                     - sp.diags(1.0 / self._mdiag)).tocsc()
-            try:
-                self._lu = spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
-                                     options=dict(_SPLU_OPTS))
-            except RuntimeError as exc:
-                raise ConvergenceError(f"sparse factorization failed: {exc}")
-        return self._lu
+    def _schur_factor(self, dtype):
+        """SuperLU factor of the h_z Schur complement, in ``dtype``."""
+        binv = self._b.multiply((1.0 / self._kdiag)[None, :]).tocsr()
+        schur = (binv @ self._b.T - sp.diags(1.0 / self._mdiag)).tocsc()
+        schur = schur.astype(dtype, copy=False)
+        try:
+            return spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
+                             options=dict(_SPLU_OPTS))
+        except RuntimeError as exc:
+            raise ConvergenceError(f"sparse factorization failed: {exc}")
 
-    def solve(self, b):
-        """Solve ``A x = b`` through the h_z Schur complement."""
-        lu = self._factorize()
-        kinvb = b / self._kdiag
-        y = lu.solve(self._b @ kinvb)
+    def _through(self, lu, dtype, b):
+        """``A^{-1} b`` by one pass through the Schur factor ``lu``."""
+        y = lu.solve((self._b @ (b / self._kdiag)).astype(dtype, copy=False))
         if not np.all(np.isfinite(y)):
             raise ConvergenceError("linear solve produced non-finite values")
         return (self._b.T @ y - b) / self._kdiag
+
+    def solve(self, b):
+        """Solve ``A x = b`` through the h_z Schur complement."""
+        if self._lu is None:
+            self._lu = self._schur_factor(np.complex128)
+        return self._through(self._lu, np.complex128, b)
+
+    def sweep(self, b):
+        """An approximate ``A^{-1} b``: one pass through a complex64 factor
+        of the same Schur complement, with no refinement.  Made for residual
+        inverse iteration, whose fixed point ``A(w) x = 0`` is evaluated in
+        double precision and so does not depend on how exactly the shift is
+        inverted; half the bytes of the factor that :meth:`solve` makes,
+        which every driven solve keeps."""
+        if self._lu32 is None:
+            self._lu32 = self._schur_factor(np.complex64)
+        return self._through(self._lu32, np.complex64, b)
 
     # -- sources and sampling -------------------------------------------------
 

@@ -11,10 +11,16 @@ guess.  Each outer iterate
   complex-symmetric, so no left vector is needed), then
 * corrects the vector, ``x <- x - A(s)^{-1} A(w) x``, and rescales it.
 
-The vector starts from a driven solve, two solves with the shift's factor
-of a fixed interior source placed with the symmetry of the target mode - by
-default a y-oriented point source at the resonator center, which couples to
-the fundamental plasmon of a rod.  The contraction per step scales with
+The correction needs only an approximate inverse of ``A(s)``: the fixed
+point ``A(w) x = 0`` is evaluated in double precision whatever the inverse,
+so the shift is factored once in single precision
+(``DiscreteOperator.sweep``), half the bytes of a double factor.  Driven
+solves (:func:`driven_response`, the isolation check) keep the double one.
+
+The vector starts from two passes through the shift's factor of a fixed
+interior source placed with the symmetry of the target mode - by default a
+y-oriented point source at the resonator center, which couples to the
+fundamental plasmon of a rod.  The contraction per step scales with
 ``|s - w|``; a step that cuts the eigen-residual ``|A(w) x|`` less than
 tenfold moves the shift to the current ``w`` (one more factorization).
 
@@ -130,7 +136,10 @@ def driven_response(grid, geometry, material, bg, omega, symmetry=None,
     for diagnostics such as single-pole lineshape fits over real frequency.
     """
     source = source or _default_source(geometry)
-    op, x = _resolve(grid, geometry, material, bg, omega, symmetry, source)
+    op = assemble(grid, geometry, material, bg, omega, symmetry)
+    # a symmetrized source is fine here: any source coupling to the target
+    # parity sees the same poles
+    x = op.solve(op.dipole_rhs(source, allow_symmetrized=True))
     return op.sample(x, _default_probe(geometry), (0.0, 1.0))
 
 
@@ -145,15 +154,16 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
              symmetry=None, source=None) -> ModeField:
     """Locate one quasinormal mode: eigenfrequency and raw field profile.
 
-    Residual inverse iteration on the factor of ``A`` at the guess (see the
-    module docstring): each outer iterate moves ``w`` to the root of the
-    Rayleigh functional of the current vector and corrects the vector with
-    one solve.  The iterates stop at the first relative step below
-    ``rel_tol``; the vector is then refined at that fixed ``w`` while a step
-    still cuts the eigen-residual tenfold.  The factor moves to the current
-    ``w`` (the old one is freed first) when an outer step cuts the
-    eigen-residual less than tenfold.  ``symmetry`` ("x", "y", "xy") solves
-    the mirror-reduced problem when geometry and source allow it.  Warns
+    Residual inverse iteration on the single-precision factor of ``A`` at
+    the guess (see the module docstring): each outer iterate moves ``w`` to
+    the root of the Rayleigh functional of the current vector and corrects
+    the vector with one pass through that factor.  The iterates stop at the
+    first relative step below ``rel_tol``; the vector is then refined at
+    that fixed ``w`` while a step still cuts the eigen-residual tenfold.
+    The factor moves to the current ``w`` (the old one is freed first) when
+    an outer step cuts the eigen-residual less than tenfold.  ``symmetry``
+    ("x", "y", "xy") solves the mirror-reduced problem when geometry and
+    source allow it.  Warns
     when the grid leaves less than one free-space wavelength (at the guess)
     between the resonator and its edge, or resolves the resonator's
     smallest side by fewer than 10 cells.  Raises
@@ -172,19 +182,20 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
             return op
         return assemble(grid, geometry, material, bg, w, symmetry)
 
-    # two solves at the guess: one alone leaves the source's local
+    # two passes at the guess: one alone leaves the source's local
     # self-field dominant, which can throw the first Rayleigh root out of
-    # the basin
-    shifted, x = _resolve(grid, geometry, material, bg, sigma, symmetry,
-                          source)
-    x = _unit(shifted.solve(x))
+    # the basin.  A symmetrized source is fine here: any source coupling to
+    # the target parity finds the same pole and mode profile
+    shifted = assemble(grid, geometry, material, bg, sigma, symmetry)
+    x = shifted.sweep(shifted.dipole_rhs(source, allow_symmetrized=True))
+    x = _unit(shifted.sweep(x))
     omega, res = sigma, _residual(shifted, x)
     iterates, shifts = [sigma], [sigma]
     op = shifted  # the operator at the current omega
     for _ in range(search.max_iter):
-        omega_new, _ = secant_root(lambda w: x @ operator(w).apply(x), omega,
-                                   rel_tol=search.rel_tol,
-                                   basin_radius=basin)
+        omega_new, _ = secant_root(
+            lambda w: np.sum(x * operator(w).apply(x)), omega,
+            rel_tol=search.rel_tol, basin_radius=basin)
         iterates.append(omega_new)
         _check_basin(omega_new, sigma, basin, iterates)
         step = abs(omega_new - omega) / abs(omega_new)
@@ -244,27 +255,26 @@ def _warn_grid(grid, geometry, omega):
             f"fewer than 10 cells at h={grid.h:.3g} m", stacklevel=3)
 
 
-def _resolve(grid, geometry, material, bg, omega, symmetry, source):
-    op = assemble(grid, geometry, material, bg, omega, symmetry)
-    # a symmetrized source is fine here: any source coupling to the target
-    # parity finds the same pole and mode profile
-    return op, op.solve(op.dipole_rhs(source, allow_symmetrized=True))
+def _norm(x):
+    # the 2-norm without BLAS: np.linalg.norm and x @ y on vectors this long
+    # wake numpy's BLAS thread pool, which then spins beside SuperLU's
+    return np.sqrt(np.sum(x.real ** 2) + np.sum(x.imag ** 2))
 
 
 def _unit(x):
-    return x / np.linalg.norm(x)
+    return x / _norm(x)
 
 
 def _residual(op, x):
     """Eigen-residual of a unit vector, relative to the operator scale."""
-    return np.linalg.norm(op.apply(x)) / np.abs(op._kdiag).max()
+    return _norm(op.apply(x)) / np.abs(op._kdiag).max()
 
 
 def _rii_step(shifted, op, x):
     """One residual inverse iteration step ``x <- x - A(s)^{-1} A(w) x``
-    with the held factor of ``A(s)``; returns the unit vector and its
-    eigen-residual at ``w``."""
-    x = _unit(x - shifted.solve(op.apply(x)))
+    with the held single-precision factor of ``A(s)``; returns the unit
+    vector and its eigen-residual at ``w``."""
+    x = _unit(x - shifted.sweep(op.apply(x)))
     return x, _residual(op, x)
 
 
@@ -341,15 +351,30 @@ def load_mode(path) -> ModeField:
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode())
-            is_mode = header["format"] == "qnmlab-mode"
+            if header["format"] != "qnmlab-mode":
+                raise ValueError
             shape_ex, shape_ey = (tuple(int(n) for n in header[key])
                                   for key in ("shape_ex", "shape_ey"))
+            g = header["grid"]
+            grid = GridSpec(extent=tuple(tuple(ax) for ax in g["extent"]),
+                            h=g["h"], pml=PmlSpec(**g["pml"]))
+            nv = header["norm_value"]
+            fields = dict(
+                grid=grid,
+                geometry=_geometry_from_json(header["geometry"]),
+                bg=Background(header["n_b"]),
+                frequency=ComplexFrequency(**header["eigenfrequency"]),
+                norm_state=header["norm_state"],
+                norm_value=None if nv is None else complex(nv[0], nv[1]),
+                gauge=header["gauge"],
+                residual=header["residual"],
+            )
+        except DomainError:
+            raise  # a key present with a value out of its domain
         except (ValueError, TypeError, KeyError):
             # a first line that is not UTF-8 JSON, not an object, or without
-            # integer shapes
-            is_mode = False
-        if not is_mode:
-            raise DomainError(f"{path} is not a mode container")
+            # one of the keys a mode header holds
+            raise DomainError(f"{path} is not a mode container") from None
         n_ex, n_ey = int(np.prod(shape_ex)), int(np.prod(shape_ey))
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != 16 * (n_ex + n_ey):
@@ -358,18 +383,4 @@ def load_mode(path) -> ModeField:
         # one component at a time, read straight into its array
         ex = np.fromfile(fh, dtype="<c16", count=n_ex).reshape(shape_ex)
         ey = np.fromfile(fh, dtype="<c16", count=n_ey).reshape(shape_ey)
-    g = header["grid"]
-    grid = GridSpec(extent=tuple(tuple(ax) for ax in g["extent"]), h=g["h"],
-                    pml=PmlSpec(**g["pml"]))
-    nv = header["norm_value"]
-    return ModeField(
-        grid=grid,
-        geometry=_geometry_from_json(header["geometry"]),
-        bg=Background(header["n_b"]),
-        ex=ex, ey=ey,
-        frequency=ComplexFrequency(**header["eigenfrequency"]),
-        norm_state=header["norm_state"],
-        norm_value=None if nv is None else complex(nv[0], nv[1]),
-        gauge=header["gauge"],
-        residual=header["residual"],
-    )
+    return ModeField(ex=ex, ey=ey, **fields)

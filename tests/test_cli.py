@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import warnings
@@ -11,7 +12,7 @@ from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
 from qnmlab.core import Dipole, DomainError, QnmError
 from qnmlab.observables import se_from_scattered
-from qnmlab.solver import assemble, fdfd
+from qnmlab.solver import assemble, driven_response, fdfd
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
 
@@ -128,6 +129,22 @@ def test_full_pipeline_and_reproducibility(tmp_path):
     # spectrum rows carry every requested variant
     header = (out1 / "spectrum.csv").read_text().splitlines()[0]
     assert header == "omega_thz,f_a_f,f_a_far"
+
+
+def test_running_mode_volume_ends_at_the_reported_one(tmp_path):
+    # the last clearance's total is the norm, 1 after normalization; both
+    # files use one f(r0).f(r0), not two that differ by 8e-14 here
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(RunConfig.load(_coarse_config(tmp_path, dipoles=[])),
+                     str(out))
+    with open(out / "modevol.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    report = json.loads((out / "report.json").read_text())
+    assert float(last["re_total"]) == pytest.approx(1.0, rel=1e-13, abs=0)
+    assert float(last["V_eff_running"]) == pytest.approx(report["v_eff_m2"],
+                                                         rel=1e-14, abs=0)
 
 
 def test_empty_dipole_list_yields_mode_and_norm_only(tmp_path):
@@ -389,6 +406,27 @@ def test_oracle_factorizes_its_grid_once_and_each_box_once(tmp_path,
         cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omega)
     assert len(calls) == 3 + 2 * (len(omegas) - 1)
     assert cli._background_box.cache_info().currsize == 4
+
+
+def test_driven_solves_factorize_in_double_precision(tmp_path, monkeypatch):
+    # only the pole search's shift-inverse is single precision
+    cfg = RunConfig.load(_coarse_config(tmp_path))
+    dtypes = []
+    splu = fdfd.spla.splu
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(fdfd.spla, "splu", spy)
+    cli._background_box.cache_clear()
+    omega = 2 * np.pi * 295e12
+    cli.oracle_se(cfg, (0.0, 200e-9), (0.0, 1.0), omega)
+    cli.oracle_propagator(cfg, (0.0, 200e-9), (0.0, 300e-9), omega)
+    driven_response(cfg.grid, cfg.geometry, cfg.material, cfg.bg, omega)
+    # the oracle's grid and background box, the propagator grid, the
+    # driven response's grid
+    assert dtypes == [np.complex128] * 4
 
 
 @pytest.mark.parametrize("r_a, n_a", [
@@ -737,9 +775,12 @@ def test_mode_file_of_the_wrong_size_exits_1(tmp_path):
     # and so is a JSON first line that is not a mode header
     header, payload = good.split(b"\n", 1)
     shapeless = {**json.loads(header), "shape_ex": "ab"}
+    gridless = json.loads(header)
+    del gridless["grid"]
     for bad in (good[:-1000], good + b"\0",
                 *(json.dumps(h).encode() + b"\n" + payload
-                  for h in ([1], {"format": "qnmlab-mode"}, shapeless))):
+                  for h in ([1], {"format": "qnmlab-mode"}, shapeless,
+                            gridless))):
         field.write_bytes(bad)
         assert main(["normalize", "--config", path, "--out", str(out)]) == 1
 

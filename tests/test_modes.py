@@ -14,6 +14,7 @@ from qnmlab.core import (
     ComplexFrequency,
     ConstantMaterial,
     Cylinder2D,
+    Dipole,
     DomainError,
     DrudeModel,
     GridSpec,
@@ -22,8 +23,10 @@ from qnmlab.core import (
     Rod2D,
 )
 from qnmlab.solver import (
+    DiscreteOperator,
     ModeField,
     PoleSearch,
+    assemble,
     driven_response,
     find_qnm,
     load_mode,
@@ -177,27 +180,30 @@ class _Factor:
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Weak references to every factor made, and for each the number of
-    factors still alive when it was made."""
-    made, alive_before = [], []
+    """Weak references to every factor made, for each the number of factors
+    still alive when it was made, and the dtype of each factored matrix."""
+    made, alive_before, dtypes = [], [], []
     splu = spla.splu
 
-    def tracked_splu(*args, **kwargs):
+    def tracked_splu(a, *args, **kwargs):
         alive_before.append(sum(f() is not None for f in made))
-        factor = _Factor(splu(*args, **kwargs))
+        dtypes.append(a.dtype)
+        factor = _Factor(splu(a, *args, **kwargs))
         made.append(weakref.ref(factor))
         return factor
 
     monkeypatch.setattr(spla, "splu", tracked_splu)
-    return made, alive_before
+    return made, alive_before, dtypes
 
 
 def test_pole_search_factorizes_once_one_factor_at_a_time(factors, caplog):
-    made, alive_before = factors
+    made, alive_before, dtypes = factors
     with caplog.at_level(logging.DEBUG, logger="qnm.modes"):
         mode = _find_rod()
     assert len(made) <= 3
     assert len(made) == 1
+    # the shift-inverse of residual inverse iteration is single precision
+    assert dtypes == [np.complex64]
     assert max(alive_before) == 0
     assert all(f() is None for f in made)
     assert mode.residual < 1e-12
@@ -234,7 +240,7 @@ def test_pole_search_assembles_each_frequency_once(monkeypatch):
 
 def test_far_guess_reshifts_once_and_finds_the_near_guess_pole(factors,
                                                                caplog):
-    made, alive_before = factors
+    made, alive_before, _ = factors
     grid = _grid(2.5e-9, width=0.9e-6)
     with caplog.at_level(logging.DEBUG, logger="qnm.modes"):
         far = _find_rod(grid, LORENTZ_GUESS)
@@ -248,6 +254,30 @@ def test_far_guess_reshifts_once_and_finds_the_near_guess_pole(factors,
     assert len(made) - len(far.pole_shifts) == 1
     pole = near.frequency.omega_tilde
     assert abs(far.frequency.omega_tilde - pole) <= 1e-9 * abs(pole)
+
+
+def test_sweep_is_an_approximate_solve():
+    # one unrefined pass through the complex64 factor: near the solve, yet
+    # not equal to it
+    op = assemble(_grid(5e-9, width=2.1e-6, pml=24), ROD, DRUDE, BG,
+                  ROD_GUESS, symmetry="xy")
+    b = op.dipole_rhs(Dipole(position=(0.0, 0.0), orientation=(0.0, 1.0)))
+    exact = op.solve(b)
+    gap = np.linalg.norm(op.sweep(b) - exact) / np.linalg.norm(exact)
+    assert 1e-6 < gap < 1e-3
+
+
+def test_pole_search_does_not_depend_on_the_shift_precision(monkeypatch):
+    # the fixed point A(w) x = 0 is evaluated in double precision: the
+    # exact shift-inverse finds the same pole and mode
+    single = _find_rod()
+    monkeypatch.setattr(DiscreteOperator, "sweep", DiscreteOperator.solve)
+    double = _find_rod()
+    pole = double.frequency.omega_tilde
+    assert abs(single.frequency.omega_tilde - pole) <= 1e-12 * abs(pole)
+    scale = max(np.abs(double.ex).max(), np.abs(double.ey).max())
+    for a, b in ((single.ex, double.ex), (single.ey, double.ey)):
+        assert np.abs(a - b).max() <= 1e-10 * scale
 
 
 def test_exhausted_pole_search_raises_with_trajectory():
@@ -331,6 +361,20 @@ def test_mode_file_of_the_wrong_size_raises(cylinder_modes, tmp_path):
 def test_mode_file_without_a_header_raises(tmp_path, data):
     path = tmp_path / "mode.field"
     path.write_bytes(data)
+    with pytest.raises(DomainError, match="not a mode container"):
+        load_mode(path)
+
+
+@pytest.mark.parametrize("key", ["grid", "geometry", "n_b", "eigenfrequency",
+                                 "norm_state", "norm_value", "gauge",
+                                 "residual"])
+def test_mode_header_without_a_key_raises(cylinder_modes, tmp_path, key):
+    path = tmp_path / "mode.field"
+    save_mode(cylinder_modes[10e-9], path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header[key]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(DomainError, match="not a mode container"):
         load_mode(path)
 
