@@ -438,15 +438,14 @@ def stage_validate(cfg: RunConfig, outdir):
     Both values are the ones ``stage_se`` wrote to ``distance.csv`` at the
     scan checkpoints, so validate computes nothing and loads no mode.
     With the oracle off, no dipole configured (so no emission stage wrote a
-    scan), or no checkpoint on the scan path, nothing is compared:
-    ``oracle_checks`` is empty and ``tolerances_met`` is null, never a
-    pass.
+    scan) or no checkpoint, nothing is compared: ``oracle_checks`` is empty
+    and ``tolerances_met`` is null, never a pass.  The config keeps every
+    checkpoint on the scan path.
     """
     if cfg.zero_contrast:
         return
-    checkpoints = cfg.oracle_scan_checkpoints \
+    points = cfg.oracle_scan_checkpoints \
         if cfg.oracle_enabled and cfg.dipoles else []
-    points = [i for i in checkpoints if i < len(cfg.scan_standoffs)]
     checks = {}
     if points:
         far = _scan_column(outdir, "f_a_far", points)

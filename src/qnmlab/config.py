@@ -227,10 +227,23 @@ class RunConfig:
                 ("pole_search.rel_tol", 0 < self.pole_rel_tol < np.inf),
                 ("pole_search.max_iter", self.pole_max_iter >= 1),
                 ("normalization.rtol", 0 < self.norm_rtol < np.inf),
+                # every length below sits outside the resonator or apart
+                # from the source; at zero or less a stage fails only
+                # after the pole search
+                ("normalization.clearances",
+                 all(d > 0 for d in self.norm_clearances)),
+                ("distance_scan.standoffs",
+                 all(d > 0 for d in self.scan_standoffs)),
+                ("propagator.source_standoff",
+                 self.prop_source_standoff is None
+                 or self.prop_source_standoff > 0),
+                ("propagator.distances",
+                 all(d > 0 for d in self.prop_distances)),
                 ("spectrum.points", self.spectrum_points >= 1),
                 ("oracle.spectrum_stride", self.oracle_spectrum_stride >= 1),
                 ("oracle.scan_checkpoints",
-                 min(self.oracle_scan_checkpoints, default=0) >= 0)]:
+                 all(0 <= i < len(self.scan_standoffs)
+                     for i in self.oracle_scan_checkpoints))]:
             if not ok:
                 raise ConfigError(f"{where} is out of range")
 

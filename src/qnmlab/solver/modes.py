@@ -15,7 +15,7 @@ The correction needs only an approximate inverse of ``A(s)``: the fixed
 point ``A(w) x = 0`` is evaluated in double precision whatever the inverse,
 so the shift is factored once in single precision
 (``DiscreteOperator.sweep``), half the bytes of a double factor.  Driven
-solves (:func:`driven_response`, the isolation check) keep the double one.
+solves (:func:`driven_response`) keep the double one.
 
 The vector starts from two passes through the shift's factor of a fixed
 interior source placed with the symmetry of the target mode - by default a
@@ -47,33 +47,23 @@ from ..core import (
     DomainError,
     GridSpec,
     PmlSpec,
-    PoleSearchError,
     Rod2D,
 )
 from .fdfd import assemble
-from .roots import (
-    _check_basin,
-    _exhausted,
-    distinct_roots,
-    secant_root,
-    winding_number,
-)
+from .roots import _check_basin, _exhausted, secant_root
 
 log = logging.getLogger("qnm.modes")
 
 
 @dataclass(frozen=True)
 class PoleSearch:
-    """Pole-search controls: initial guess (complex rad/s, also the first
-    shift), relative frequency tolerance, cap on the outer iterates, basin
-    radius (defaults to 25% of the guess magnitude), and the optional
-    isolation verification."""
+    """Pole-search controls, the config's ``pole_search`` section: initial
+    guess (complex rad/s, also the first shift), relative frequency
+    tolerance and cap on the outer iterates."""
 
     omega_guess: complex
     rel_tol: float = 1e-9
     max_iter: int = 30
-    basin_radius: float | None = None
-    verify_isolation: bool = False
 
 
 @dataclass(frozen=True)
@@ -125,21 +115,20 @@ def _default_probe(geometry):
     return (0.5 * (bx0 + bx1), 0.5 * (by0 + by1) + 0.45 * (by1 - by0))
 
 
-def driven_response(grid, geometry, material, bg, omega, symmetry=None,
-                    source=None) -> complex:
-    """Field response at an interior probe point to a fixed interior source
-    at ``omega``.
+def driven_response(grid, geometry, material, bg, omega,
+                    symmetry=None) -> complex:
+    """Field response at an interior probe point to the default interior
+    source (a y-dipole at the resonator center) at ``omega``.
 
     The analytic continuation of this scalar in complex frequency has poles
-    at the quasinormal-mode eigenfrequencies; the isolation check of
-    :func:`find_qnm` counts the zeros of its inverse.  Exposed separately
-    for diagnostics such as single-pole lineshape fits over real frequency.
+    at the quasinormal-mode eigenfrequencies.  Exposed for diagnostics such
+    as single-pole lineshape fits over real frequency.
     """
-    source = source or _default_source(geometry)
     op = assemble(grid, geometry, material, bg, omega, symmetry)
     # a symmetrized source is fine here: any source coupling to the target
     # parity sees the same poles
-    x = op.solve(op.dipole_rhs(source, allow_symmetrized=True))
+    x = op.solve(op.dipole_rhs(_default_source(geometry),
+                               allow_symmetrized=True))
     return op.sample(x, _default_probe(geometry), (0.0, 1.0))
 
 
@@ -167,13 +156,14 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     when the grid leaves less than one free-space wavelength (at the guess)
     between the resonator and its edge, or resolves the resonator's
     smallest side by fewer than 10 cells.  Raises
-    :class:`PoleSearchError` when an iterate leaves the search basin, when
-    ``max_iter`` outer iterates do not converge, or when more than one pole
-    lies in the basin (with ``verify_isolation``).
+    :class:`PoleSearchError` when an iterate leaves the search basin (a
+    quarter of ``|guess|`` around the guess) or when ``max_iter`` outer
+    iterates do not converge.  That no other pole lies in the basin is
+    assumed, not checked.
     """
     source = source or _default_source(geometry)
     sigma = complex(search.omega_guess)
-    basin = search.basin_radius or 0.25 * abs(sigma)
+    basin = 0.25 * abs(sigma)
     _warn_grid(grid, geometry, sigma)
 
     def operator(w):
@@ -222,14 +212,6 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
             break
         x, res = x_new, res_new
     ex, ey = _gauge_fix(*op.unpack(x))
-    del shifted, op  # the isolation check factorizes on its own
-
-    if search.verify_isolation:
-        _check_isolation(
-            lambda w: 1.0 / driven_response(grid, geometry, material, bg, w,
-                                            symmetry, source),
-            omega, basin, search)
-
     return ModeField(grid=grid, geometry=geometry, bg=bg, ex=ex, ey=ey,
                      frequency=ComplexFrequency.from_omega_tilde(omega),
                      residual=float(res), pole_iterates=tuple(iterates),
@@ -276,19 +258,6 @@ def _rii_step(shifted, op, x):
     vector and its eigen-residual at ``w``."""
     x = _unit(x - shifted.sweep(op.apply(x)))
     return x, _residual(op, x)
-
-
-def _check_isolation(inv_response, omega_pole, basin, search):
-    # argument principle on the inverse response: its zeros are the poles
-    w = winding_number(inv_response, omega_pole, basin, n_samples=24)
-    if w >= 2:
-        seeds = [omega_pole + 0.6 * basin * np.exp(1j * t)
-                 for t in np.linspace(0, 2 * np.pi, 6, endpoint=False)]
-        roots = distinct_roots(inv_response, seeds, rel_tol=search.rel_tol,
-                               basin_radius=basin, center=omega_pole)
-        raise PoleSearchError(
-            f"{w} poles inside the search basin around {omega_pole:.6e}; "
-            f"distinct candidates: {roots}")
 
 
 # -- mode container -----------------------------------------------------------

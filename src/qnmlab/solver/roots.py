@@ -2,12 +2,10 @@
 
 :func:`secant_root` needs only function values.  It finds the Rayleigh
 functional's root in each iterate of the QNM pole search (see
-:mod:`.modes`), the poles of the analytic cylinder series, and the roots of
-the multi-seed isolation check.  The pole search shares its basin check and
-error messages (:func:`_check_basin`, :func:`_exhausted`).
+:mod:`.modes`) and the poles of the analytic cylinder series.  The pole
+search shares its basin check and error messages (:func:`_check_basin`,
+:func:`_exhausted`).
 """
-
-import numpy as np
 
 from ..core import PoleSearchError
 
@@ -52,30 +50,3 @@ def secant_root(f, z0, rel_tol=1e-10, max_iter=40, basin_radius=None):
             return z, history
         f_cur = f(z)
     raise _exhausted(max_iter, z0, history)
-
-
-def winding_number(f, center, radius, n_samples=64):
-    """Winding of ``f`` around a circle: zeros minus poles inside (argument
-    principle, assuming none sit on the contour)."""
-    th = 2 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
-    vals = np.array([f(center + radius * np.exp(1j * t)) for t in th])
-    dphase = np.angle(vals[np.r_[1:n_samples, 0]] / vals)
-    return int(round(np.sum(dphase) / (2 * np.pi)))
-
-
-def distinct_roots(f, seeds, rel_tol=1e-9, basin_radius=None, center=None):
-    """Run secant from several seeds and merge the converged roots that lie
-    within 1e-6 relative of each other."""
-    roots = []
-    for s in seeds:
-        try:
-            z, _ = secant_root(f, s, rel_tol=rel_tol,
-                               basin_radius=basin_radius or 10 * abs(s))
-        except PoleSearchError:
-            continue
-        if center is not None and basin_radius is not None \
-                and abs(z - center) > basin_radius:
-            continue
-        if not any(abs(z - r) <= 1e-6 * abs(z) for r in roots):
-            roots.append(z)
-    return roots

@@ -266,15 +266,24 @@ def test_malformed_values_are_config_errors(tmp_path, keys, value):
     ("normalization", "rtol", float("inf")),
     ("normalization", "rtol", -0.01),
     ("oracle", "scan_checkpoints", [0, -1]),
+    ("oracle", "scan_checkpoints", [0, 2]),
+    ("distance_scan", "standoffs", ["0 nm", "150 nm"]),
+    ("distance_scan", "standoffs", ["-20 nm", "150 nm"]),
+    ("propagator", "source_standoff", "-20 nm"),
+    ("propagator", "distances", ["0 nm", "300 nm"]),
+    ("normalization", "clearances", ["-100 nm", "0 nm", "250 nm"]),
 ], ids=["3-centre", "zero-dipole", "3-vector", "nan-orientation", "word",
         "1-position", "zero-scan", "no-points", "no-iterations",
         "nan-rel-tol", "zero-rel-tol", "inf-rtol", "negative-rtol",
-        "negative-checkpoint"])
+        "negative-checkpoint", "checkpoint-past-scan", "zero-standoff",
+        "negative-standoff", "negative-source-standoff", "zero-distance",
+        "negative-clearance"])
 def test_values_without_a_meaningful_run_are_config_errors(
         tmp_path, section, key, value):
     # each used to pass RunConfig and end in NaN rates, a header-only CSV,
-    # a traceback or failed search (exit 1) or an oracle solve at the wrong
-    # point
+    # a traceback or failed search (exit 1), an oracle solve at the wrong
+    # point, or an oracle column of NaN with no check; the lengths failed
+    # only after the pole search
     data = json.loads(_coarse_config(tmp_path).read_text())
     (data[section][0] if section == "dipoles" else data[section])[key] = value
     path = tmp_path / "bad.json"

@@ -33,7 +33,7 @@ from qnmlab.solver import (
     save_mode,
 )
 from qnmlab.solver.mie import mie_pole
-from qnmlab.solver.roots import distinct_roots, secant_root, winding_number
+from qnmlab.solver.roots import secant_root
 
 BG = Background(1.5)
 MAT = ConstantMaterial(9.0)
@@ -286,19 +286,13 @@ def test_exhausted_pole_search_raises_with_trajectory():
     assert f"trajectory: [{ROD_GUESS}, " in str(err.value)
 
 
-def test_verify_isolation_accepts_isolated_rod_pole():
-    mode = _find_rod(verify_isolation=True)
-    pole = mode.frequency.omega_tilde
-    assert abs(pole - ROD_POLE) <= 1e-9 * abs(ROD_POLE)
-
-
 def test_no_pole_in_basin_raises():
+    # no pole within a quarter of |guess|: the first Rayleigh root leaves
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(PoleSearchError):
+        with pytest.raises(PoleSearchError, match="left the search basin"):
             find_qnm(_grid(10e-9), CYL, MAT, BG,
-                     PoleSearch(omega_guess=1.0e15 - 0.5e14j,
-                                basin_radius=0.5e14, max_iter=8))
+                     PoleSearch(omega_guess=1.0e15 - 0.5e14j, max_iter=8))
 
 
 def test_mode_container_roundtrip_bit_exact(cylinder_modes, tmp_path):
@@ -430,24 +424,3 @@ def test_secant_root_leaving_basin_raises():
 def test_secant_root_exhausted_raises():
     with pytest.raises(PoleSearchError, match="within 2 iterations"):
         secant_root(_poly, 2.2 + 0.8j, rel_tol=1e-12, max_iter=2)
-
-
-def test_winding_counts_zeros():
-    f = lambda z: (z - 1.0) * (z - 1.2 - 0.1j)
-    assert winding_number(f, 1.1, 0.5) == 2
-    assert winding_number(f, 1.1, 0.05) == 0
-
-
-def test_two_poles_in_basin_detected_on_synthetic_response():
-    # inverse response with two nearby zeros (= two poles of the response)
-    p1, p2 = 2.0 + 0.5j, 2.3 + 0.4j
-    inv = lambda z: (z - p1) * (z - p2) / (z**2 + 9.0)
-    n = winding_number(inv, 2.15 + 0.45j, 0.4)
-    assert n == 2
-    seeds = [2.15 + 0.45j + 0.3 * np.exp(1j * t)
-             for t in np.linspace(0, 2 * np.pi, 6, endpoint=False)]
-    roots = distinct_roots(inv, seeds, basin_radius=0.6, center=2.15 + 0.45j)
-    assert len(roots) == 2
-    got = sorted(roots, key=lambda z: z.real)
-    assert got[0] == pytest.approx(p1, rel=1e-6)
-    assert got[1] == pytest.approx(p2, rel=1e-6)
