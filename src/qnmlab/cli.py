@@ -2,14 +2,19 @@
 (find -> normalize -> mode volume -> emission -> propagator -> validate)
 and emit deterministic CSV artifacts plus a machine-readable report.
 
-Artifacts in the output directory:
+Every accepted config finds a mode; a material equal to the background
+has none and is refused with the config (exit 2).  Artifacts in the output
+directory:
 
 * ``mode.field``      binary mode container (raw after ``find``, normalized
                       after ``normalize``)
 * ``modevol.csv``     norm breakdown and running mode volume vs clearance
-* ``spectrum.csv``    emission enhancement vs frequency per Green model
-* ``distance.csv``    on-resonance enhancement vs standoff per model
-* ``propagator.csv``  normalized |G_yy|^2 vs distance per model
+* ``spectrum.csv``    emission enhancement vs frequency per Green model,
+                      written when dipoles are configured
+* ``distance.csv``    on-resonance enhancement vs standoff per model,
+                      written when dipoles are configured
+* ``propagator.csv``  normalized |G_yy|^2 vs distance per model, written
+                      when a propagator source is configured
 * ``report.json``     eigenfrequency, Q, pole-search iterates and the
                       frequencies it factorized at (``shifts_thz``), V_eff,
                       caustic radius, the 2D Purcell factor
@@ -137,13 +142,10 @@ def _load_mode(cfg, outdir):
 
 
 def stage_find(cfg: RunConfig, outdir):
-    """Clear the artifacts of an earlier run, then find and save the mode.
-    A zero-contrast config has no mode: it gets the unity emission tables
-    instead, and ``None`` is returned."""
+    """Clear the artifacts of an earlier run, then find, save and return
+    the mode.  Every accepted config has one: the config refuses a
+    material equal to the background."""
     _clear_artifacts(outdir)
-    if cfg.zero_contrast:
-        _write_zero_contrast(cfg, outdir)
-        return None
     search = PoleSearch(omega_guess=cfg.omega_guess,
                         rel_tol=cfg.pole_rel_tol, max_iter=cfg.pole_max_iter)
     mode = find_qnm(cfg.grid, cfg.geometry, cfg.material, cfg.bg, search,
@@ -166,7 +168,6 @@ def stage_find(cfg: RunConfig, outdir):
                          for z0, z1 in zip(its, its[1:])],
             "shifts_thz": thz(mode.pole_shifts),
         },
-        "zero_contrast": False,
     })
     log.info("eigenfrequency %.3f - %.3fi THz (Q=%.2f)",
              freq.omega / 2 / np.pi / 1e12, freq.gamma / 2 / np.pi / 1e12,
@@ -339,9 +340,6 @@ def _scan_path(cfg):
 
 
 def stage_se(cfg: RunConfig, outdir):
-    if cfg.zero_contrast:
-        _write_zero_contrast(cfg, outdir)
-        return
     if not cfg.dipoles:
         log.info("no dipoles configured; skipping emission artifacts")
         return
@@ -376,21 +374,8 @@ def stage_se(cfg: RunConfig, outdir):
                                                   _scan_path(cfg)))])
 
 
-def _write_zero_contrast(cfg, outdir):
-    log.warning("zero-contrast geometry: emission enhancement is unity")
-    ws = np.linspace(0.9, 1.1, cfg.spectrum_points) * abs(cfg.omega_guess)
-    rows = [(w / (2 * np.pi * 1e12), 1.0) for w in ws]
-    write_csv(os.path.join(outdir, "spectrum.csv"),
-              ["omega_thz", "f_a_background"], rows)
-    if cfg.scan_standoffs:
-        write_csv(os.path.join(outdir, "distance.csv"),
-                  ["standoff_nm", "f_a_background"],
-                  [(s * 1e9, 1.0) for s in cfg.scan_standoffs])
-    _update_report(outdir, {"zero_contrast": True})
-
-
 def stage_propagate(cfg: RunConfig, outdir):
-    if cfg.zero_contrast or cfg.prop_source_standoff is None:
+    if cfg.prop_source_standoff is None:
         return
     mode = _load_mode(cfg, outdir)
     models = _build_models(cfg, mode)
@@ -442,8 +427,6 @@ def stage_validate(cfg: RunConfig, outdir):
     and ``tolerances_met`` is null, never a pass.  The config keeps every
     checkpoint on the scan path.
     """
-    if cfg.zero_contrast:
-        return
     points = cfg.oracle_scan_checkpoints \
         if cfg.oracle_enabled and cfg.dipoles else []
     checks = {}
@@ -466,8 +449,6 @@ def run_pipeline(cfg: RunConfig, outdir):
     # find clears every artifact of an earlier run; the stages add to the
     # report
     stage_find(cfg, outdir)
-    if cfg.zero_contrast:
-        return
     stage_normalize(cfg, outdir)
     stage_modevol(cfg, outdir)
     stage_se(cfg, outdir)

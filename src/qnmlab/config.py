@@ -5,6 +5,14 @@ Physical quantities appear in config files as strings with a unit, e.g.
 converted to angular internally).  Dimensionless numbers stay numbers.
 Unknown keys anywhere in the file are rejected - a typo must fail loudly,
 not silently fall back to a default.
+
+Every accepted config describes a resonator with a mode to find: a
+``constant`` material whose ``eps`` equals the background's ``n**2`` has
+no resonator and is refused, like any value without a meaningful run,
+before a stage solves or deletes anything.  The artifacts of an accepted
+run follow from the config alone: ``mode.field``, ``modevol.csv`` and
+``report.json`` always, ``spectrum.csv`` and ``distance.csv`` when dipoles
+are configured, ``propagator.csv`` when a propagator source is.
 """
 
 import json
@@ -151,6 +159,10 @@ class RunConfig:
         self.material = _parse_material(data["material"])
         _check_keys(data["background"], {"n"}, "background")
         self.bg = Background(float(data["background"]["n"]))
+        if isinstance(self.material, ConstantMaterial) and \
+                complex(self.material.eps_const) == complex(self.bg.eps_b):
+            raise ConfigError("material: eps equals the background's n**2, "
+                              "so there is no resonator and no mode")
         self.grid = _parse_grid(data["grid"])
 
         ps = data["pole_search"]
@@ -241,8 +253,11 @@ class RunConfig:
                  all(d > 0 for d in self.prop_distances)),
                 ("spectrum.points", self.spectrum_points >= 1),
                 ("oracle.spectrum_stride", self.oracle_spectrum_stride >= 1),
+                # the propagator rows share the scan's checkpoints
                 ("oracle.scan_checkpoints",
                  all(0 <= i < len(self.scan_standoffs)
+                     and (self.prop_source_standoff is None
+                          or i < len(self.prop_distances))
                      for i in self.oracle_scan_checkpoints))]:
             if not ok:
                 raise ConfigError(f"{where} is out of range")
@@ -257,9 +272,3 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
         return cls(data)
-
-    @property
-    def zero_contrast(self):
-        if isinstance(self.material, ConstantMaterial):
-            return complex(self.material.eps_const) == complex(self.bg.eps_b)
-        return False

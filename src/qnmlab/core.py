@@ -365,18 +365,14 @@ def contrast_block(xs, ys, geometry, h):
 
 @dataclass(frozen=True)
 class PmlSpec:
-    """Perfectly matched layer: thickness in cells, polynomial grading order,
-    and the nominal normal-incidence reflection target."""
+    """Perfectly matched layer: thickness in cells.  The grading is fixed
+    (``PML_ORDER``, ``PML_REFLECTION`` in :mod:`qnmlab.solver.fdfd`)."""
 
     cells: int = 20
-    order: int = 3
-    target_reflection: float = 1e-8
 
     def __post_init__(self):
         if self.cells < 8:
             raise DomainError("PML thickness must be at least 8 cells")
-        if self.order < 1 or not (0 < self.target_reflection < 1):
-            raise DomainError("invalid PML grading parameters")
 
 
 @dataclass(frozen=True)

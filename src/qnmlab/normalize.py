@@ -80,8 +80,7 @@ class ModeVolume:
 
 def _bounding_radius(geometry):
     (bx0, bx1), (by0, by1) = geometry.bounding_box
-    cx, cy = getattr(geometry, "center", (0.5 * (bx0 + bx1),
-                                          0.5 * (by0 + by1)))
+    cx, cy = geometry.center
     if hasattr(geometry, "radius"):
         return geometry.radius, (cx, cy)
     return max(np.hypot(x - cx, y - cy)

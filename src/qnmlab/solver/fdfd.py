@@ -66,10 +66,15 @@ from ..core import (
 
 _SPLU_OPTS = dict(SymmetricMode=True, DiagPivotThresh=0.01)
 
+# PML grading: polynomial order of sigma(x) and the nominal normal-incidence
+# reflection it is sized for
+PML_ORDER = 3
+PML_REFLECTION = 1e-8
+
 
 def _pml_sigma_max(pml, h, n_b):
     t = pml.cells * h
-    return -(pml.order + 1) * C0 * np.log(pml.target_reflection) / (2.0 * n_b * t)
+    return -(PML_ORDER + 1) * C0 * np.log(PML_REFLECTION) / (2.0 * n_b * t)
 
 
 def _stretch_profile(coords, lo, hi, pml_lo, pml_hi, pml, h, n_b, omega):
@@ -80,11 +85,11 @@ def _stretch_profile(coords, lo, hi, pml_lo, pml_hi, pml, h, n_b, omega):
     if pml_lo:
         d = (lo + t) - coords
         m = d > 0
-        sigma[m] = s_max * (d[m] / t) ** pml.order
+        sigma[m] = s_max * (d[m] / t) ** PML_ORDER
     if pml_hi:
         d = coords - (hi - t)
         m = d > 0
-        sigma[m] = s_max * (d[m] / t) ** pml.order
+        sigma[m] = s_max * (d[m] / t) ** PML_ORDER
     return 1.0 + 1j * sigma / omega
 
 
@@ -125,7 +130,7 @@ class DiscreteOperator:
                                   "about 0 with an even cell count")
         if self.geometry is not None and self.symmetry:
             # the reduced operator solves the geometry plus its mirror images
-            cx, cy = getattr(self.geometry, "center", (np.nan, np.nan))
+            cx, cy = self.geometry.center
             if (self.mirror_x and not abs(cx) <= 1e-9 * h) or \
                (self.mirror_y and not abs(cy) <= 1e-9 * h):
                 raise DomainError("mirror symmetry needs a geometry centered "

@@ -105,8 +105,7 @@ class ModeField:
 
 
 def _default_source(geometry):
-    center = getattr(geometry, "center", (0.0, 0.0))
-    return Dipole(position=center, orientation=(0.0, 1.0))
+    return Dipole(position=geometry.center, orientation=(0.0, 1.0))
 
 
 def _default_probe(geometry):
@@ -264,8 +263,6 @@ def _rii_step(shifted, op, x):
 
 
 def _geometry_to_json(geometry):
-    if geometry is None:
-        return None
     if isinstance(geometry, Rod2D):
         return {"type": "rod", "width": geometry.width,
                 "length": geometry.length, "center": list(geometry.center)}
@@ -276,8 +273,6 @@ def _geometry_to_json(geometry):
 
 
 def _geometry_from_json(d):
-    if d is None:
-        return None
     if d["type"] == "rod":
         return Rod2D(d["width"], d["length"], tuple(d["center"]))
     if d["type"] == "cylinder":
@@ -295,9 +290,7 @@ def save_mode(mode: ModeField, path):
         "endianness": "little",
         "grid": {"extent": [list(map(float, ax)) for ax in mode.grid.extent],
                  "h": mode.grid.h,
-                 "pml": {"cells": mode.grid.pml.cells,
-                         "order": mode.grid.pml.order,
-                         "target_reflection": mode.grid.pml.target_reflection}},
+                 "pml": {"cells": mode.grid.pml.cells}},
         "geometry": _geometry_to_json(mode.geometry),
         "n_b": mode.bg.n_b,
         "eigenfrequency": {"omega": mode.frequency.omega,

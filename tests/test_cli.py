@@ -125,7 +125,6 @@ def test_full_pipeline_and_reproducibility(tmp_path):
     report = json.loads((out1 / "report.json").read_text())
     assert report["quality_factor"] > 1
     assert report["v_eff_m2"] > 0
-    assert not report["zero_contrast"]
     # spectrum rows carry every requested variant
     header = (out1 / "spectrum.csv").read_text().splitlines()[0]
     assert header == "omega_thz,f_a_f,f_a_far"
@@ -159,17 +158,31 @@ def test_empty_dipole_list_yields_mode_and_norm_only(tmp_path):
     assert not (out / "distance.csv").exists()
 
 
-def test_zero_contrast_flagged(tmp_path):
-    cfg = RunConfig.load(_coarse_config(
-        tmp_path, material={"type": "constant", "eps": 2.25}))
+def test_zero_contrast_config_is_refused_before_any_solve(tmp_path,
+                                                          monkeypatch):
+    # a material equal to the background (eps = n**2 = 2.25) has no
+    # resonator and no mode: exit 2, no factorization, and an earlier
+    # run's files stay as they were
     out = tmp_path / "out"
-    run_pipeline(cfg, str(out))
-    report = json.loads((out / "report.json").read_text())
-    assert report["zero_contrast"]
-    lines = (out / "spectrum.csv").read_text().splitlines()
-    assert lines[0] == "omega_thz,f_a_background"
-    assert all(float(l.split(",")[1]) == 1.0 for l in lines[1:])
-    assert not (out / "mode.field").exists()
+    _run(RunConfig.load(_coarse_config(tmp_path, dipoles=[])), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    path = _coarse_config(tmp_path, material={"type": "constant",
+                                              "eps": 2.25})
+    with pytest.raises(ConfigError, match="material"):
+        RunConfig.load(path)
+    factored = []
+    splu = fdfd.spla.splu
+
+    def spy(a, *args, **kwargs):
+        factored.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(fdfd.spla, "splu", spy)
+    for command in ("run", "find"):
+        assert main([command, "--config", str(path),
+                     "--out", str(out)]) == 2
+    assert not factored
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_entry_point_staged_commands(tmp_path):
@@ -292,6 +305,23 @@ def test_values_without_a_meaningful_run_are_config_errors(
         RunConfig.load(path)
     assert main(["find", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_checkpoint_past_the_propagator_distances_is_config_error(tmp_path):
+    # the propagator rows share the scan's checkpoints: with 3 standoffs
+    # and 2 distances, checkpoint 2 used to exit 0 with prop_oracle NaN in
+    # every row
+    path = _coarse_config(
+        tmp_path,
+        distance_scan={"axis": "y", "standoffs": ["50 nm", "150 nm",
+                                                  "250 nm"],
+                       "orientation": [0, 1]},
+        oracle={"enabled": True, "scan_checkpoints": [2]})
+    with pytest.raises(ConfigError, match="scan_checkpoints"):
+        RunConfig.load(path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -731,45 +761,57 @@ def test_oracle_run_without_dipoles_checks_nothing(tmp_path):
     assert report["tolerances_met"] is None
 
 
-def test_run_rebuilds_report(tmp_path):
+@pytest.fixture
+def full_then_bare(tmp_path):
+    """A full run, then in the same directory a run of a config with no
+    dipoles and no propagator; the report of the first run, and the
+    directory."""
     out = tmp_path / "out"
     _run(RunConfig.load(_coarse_config(tmp_path)), out)
-    assert "eigenfrequency_thz" in json.loads(
-        (out / "report.json").read_text())
-    flat = RunConfig.load(_coarse_config(
-        tmp_path, material={"type": "constant", "eps": 2.25}))
-    _run(flat, out)
+    first = json.loads((out / "report.json").read_text())
+    _run(RunConfig.load(_coarse_config(tmp_path, dipoles=[], propagator={})),
+         out)
+    return first, out
+
+
+def test_run_rebuilds_report(full_then_bare):
+    first, out = full_then_bare
+    assert "eta_dipole" in first
     report = json.loads((out / "report.json").read_text())
-    assert report["zero_contrast"]
-    assert "eigenfrequency_thz" not in report
+    assert "eta_dipole" not in report
+    assert "eigenfrequency_thz" in report
 
 
-def test_zero_contrast_run_leaves_no_stale_artifacts(tmp_path):
-    out = tmp_path / "out"
-    _run(RunConfig.load(_coarse_config(tmp_path)), out)
-    flat = RunConfig.load(_coarse_config(
-        tmp_path, material={"type": "constant", "eps": 2.25}))
-    _run(flat, out)
+def test_rerun_without_dipoles_leaves_no_stale_artifacts(full_then_bare):
+    _, out = full_then_bare
     assert sorted(p.name for p in out.iterdir()) == \
-        ["distance.csv", "report.json", "spectrum.csv"]
+        ["mode.field", "modevol.csv", "report.json"]
 
 
-
-def test_zero_contrast_find_writes_the_unity_tables(tmp_path):
-    # find clears an earlier run's artifacts and writes the tables that run
-    # writes
+def test_find_after_a_full_run_leaves_only_the_mode(tmp_path):
     out = tmp_path / "out"
-    _run(RunConfig.load(_coarse_config(tmp_path)), out)
-    flat = str(_coarse_config(tmp_path,
-                              material={"type": "constant", "eps": 2.25}))
-    assert main(["find", "--config", flat, "--out", str(out)]) == 0
+    path = _coarse_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["find", "--config", str(path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == \
-        ["distance.csv", "report.json", "spectrum.csv"]
-    assert json.loads((out / "report.json").read_text()) == \
-        {"zero_contrast": True}
-    lines = (out / "spectrum.csv").read_text().splitlines()
-    assert lines[0] == "omega_thz,f_a_background"
-    assert all(float(line.split(",")[1]) == 1.0 for line in lines[1:])
+        ["mode.field", "report.json"]
+    assert "v_eff_m2" not in json.loads((out / "report.json").read_text())
+
+
+def test_normalize_twice_changes_nothing(tmp_path):
+    # the second normalize finds the mode normalized and writes nothing
+    path = str(_coarse_config(tmp_path, dipoles=[]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for command in ("find", "normalize"):
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes()
+              for name in ("mode.field", "report.json")}
+    assert main(["normalize", "--config", path, "--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_mode_file_of_the_wrong_size_exits_1(tmp_path):
@@ -786,10 +828,13 @@ def test_mode_file_of_the_wrong_size_exits_1(tmp_path):
     shapeless = {**json.loads(header), "shape_ex": "ab"}
     gridless = json.loads(header)
     del gridless["grid"]
+    # the PML grading is fixed: a header carrying its old keys is refused
+    graded = json.loads(header)
+    graded["grid"]["pml"].update(order=3, target_reflection=1e-8)
     for bad in (good[:-1000], good + b"\0",
                 *(json.dumps(h).encode() + b"\n" + payload
                   for h in ([1], {"format": "qnmlab-mode"}, shapeless,
-                            gridless))):
+                            gridless, graded))):
         field.write_bytes(bad)
         assert main(["normalize", "--config", path, "--out", str(out)]) == 1
 

@@ -373,6 +373,20 @@ def test_mode_header_without_a_key_raises(cylinder_modes, tmp_path, key):
         load_mode(path)
 
 
+def test_mode_header_with_the_pml_grading_raises(cylinder_modes, tmp_path):
+    # grid.pml holds the thickness alone; a header of the old layout, with
+    # the grading order and reflection target, is not a mode container
+    path = tmp_path / "mode.field"
+    save_mode(cylinder_modes[10e-9], path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["grid"]["pml"] == {"cells": 16}
+    header["grid"]["pml"].update(order=3, target_reflection=1e-8)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(DomainError, match="not a mode container"):
+        load_mode(path)
+
+
 def test_mode_value_interpolation(cylinder_modes):
     m = cylinder_modes[10e-9]
     v = m.value_at([(30e-9, 40e-9), (0.0, 100e-9)])
