@@ -36,14 +36,17 @@ standoff on resonance.
 
 With ``oracle.enabled`` the emission, propagator and validate stages add a
 full-wave reference (:func:`oracle_se`, :func:`oracle_propagator`).  Each
-oracle query factorizes one tight grid round the resonator and its points,
-with ``ORACLE_MARGIN`` between each point and the PML.  The propagator
-oracle builds that grid round the source and one receiver, so each
-receiver costs one solve and its value does not depend on which other
-receivers are asked; it samples the total field there.  The emission
-oracle's background self-term comes from a small background-only box.  The factored box operators of the four most
-recently used (box, background, frequency) keys stay in an LRU cache: the
-resonance plus the latest detuned frequencies.  Validate computes
+oracle query is one scattered-field solve: the dipole's analytic
+background field drives the resonator's contrast nodes, and one
+factorization of a tight grid round the resonator and the query's points,
+with ``ORACLE_MARGIN`` between each point and the PML, gives the scattered
+field.  The emission oracle samples it at the dipole, so no background
+self-term is subtracted; the propagator oracle adds it, sampled at the
+receiver, to the analytic background term.  The propagator oracle builds
+its grid round the source and one receiver, so a receiver's value does not
+depend on which other receivers are asked.  The oracle keeps no state
+between queries: a query costs one factorization whatever its frequency,
+and its value does not depend on the queries before it.  Validate computes
 nothing: it reads both the far model and the oracle at the scan
 checkpoints from the ``f_a_far`` and ``f_a_oracle`` columns that the
 distance scan wrote to ``distance.csv``, and loads no mode.
@@ -54,7 +57,6 @@ formats (17 significant digits), fixed reduction orders, no timestamps.
 """
 
 import argparse
-import functools
 import json
 import logging
 import math
@@ -64,7 +66,7 @@ import sys
 import numpy as np
 from scipy.constants import c as C0
 
-from .background import im_green_b_diag
+from .background import green_b_2d, im_green_b_diag
 from .config import ConfigError, RunConfig
 from .core import Dipole, DomainError, GridSpec, QnmError
 from .dyson import RegularizedField
@@ -273,57 +275,41 @@ def oracle_grid(cfg: RunConfig, positions):
     return GridSpec(extent=tuple(extent), h=h, pml=cfg.grid.pml)
 
 
-@functools.lru_cache(maxsize=4)
-def _background_box(box, bg, omega):
-    """The background-only operator of ``box`` at complex ``omega``; it
-    keeps its LU once solved, so the cache holds four factored boxes."""
-    return assemble(box, None, None, bg, omega)
-
-
-def _background_self_green(cfg, dipole, omega):
-    """n_a . G_bg(r_a, r_a) . n_a of the discrete delta source, from a
-    background-only box spanning +-(ORACLE_MARGIN + PML), snapped to h.
-    The dipole moves into the box by a whole number of cells, so it keeps
-    its place in its cell and its stencil weights.  The box operator and
-    its factor are cached per frequency; a query costs two triangular
-    solves."""
-    h = cfg.grid.h
-    pad = ORACLE_MARGIN + cfg.grid.pml_thickness
-    half = h * math.ceil(pad / h - 1e-9)
-    box = GridSpec(extent=((-half, half), (-half, half)), h=h,
-                   pml=cfg.grid.pml)
-    r_a = np.asarray(dipole.position)
-    moved = Dipole(position=tuple(r_a - h * np.round(r_a / h)),
-                   orientation=dipole.orientation)
-    return _background_box(box, cfg.bg, complex(omega)).self_green(moved)
+def _scattered_field(cfg, r_a, n_a, omega, points):
+    """The oracle's one solve: the tight :func:`oracle_grid` round the
+    resonator and ``points``, factorized once, and the scattered field
+    ``E_s`` of the dipole ``n_a`` at ``r_a``, driven by its analytic
+    background field ``G^B(r, r_a) . n_a`` on the resonator's contrast
+    nodes."""
+    r_a, n_a = np.asarray(r_a, dtype=float), np.asarray(n_a, dtype=float)
+    if cfg.geometry.inside(r_a):
+        raise DomainError("dipole position lies inside the resonator")
+    op = assemble(oracle_grid(cfg, points), cfg.geometry, cfg.material,
+                  cfg.bg, omega)
+    return op, op.solve(op.scattered_rhs(
+        lambda r: green_b_2d(r, r_a, omega, cfg.bg) @ n_a))
 
 
 def oracle_se(cfg: RunConfig, r_a, n_a, omega):
     """Full-wave reference emission rate at ``r_a``: the scattered self
-    Green function from one sparse LU of the tight :func:`oracle_grid`,
-    less the background self-term of the cached background box."""
+    Green function, a sample of the dipole's own scattered field at
+    ``r_a``."""
     dipole = Dipole(position=tuple(r_a), orientation=n_a)
-    if cfg.geometry.inside(np.asarray(dipole.position)):
-        raise DomainError("dipole position lies inside the resonator")
-    op = assemble(oracle_grid(cfg, [r_a]), cfg.geometry, cfg.material,
-                  cfg.bg, omega)
-    g_scat = op.self_green(dipole) - _background_self_green(cfg, dipole,
-                                                            omega)
+    op, e_s = _scattered_field(cfg, dipole.position, dipole.orientation,
+                               omega, [r_a])
+    g_scat = op.sample(e_s, dipole.position, dipole.orientation)
     return se_from_scattered(g_scat, omega, cfg.bg)
 
 
 def oracle_propagator(cfg: RunConfig, r_a, r_b, omega):
     """Full-wave reference |G_yy(r_b, r_a)|^2, normalized as the models of
-    ``propagator.csv``: one sparse LU of the tight :func:`oracle_grid`
-    round the resonator, the source and the receiver, one solve for the
-    y-dipole at ``r_a``, sampled at ``r_b``.  The sample is the total
-    field, so no background term is added back."""
-    dipole = Dipole(position=tuple(r_a), orientation=(0.0, 1.0))
-    if cfg.geometry.inside(np.asarray(dipole.position)):
-        raise DomainError("dipole position lies inside the resonator")
-    op = assemble(oracle_grid(cfg, [r_a, r_b]), cfg.geometry, cfg.material,
-                  cfg.bg, omega)
-    g = op.sample(op.solve(op.dipole_rhs(dipole)), r_b, dipole.orientation)
+    ``propagator.csv``: the analytic background term plus a sample at
+    ``r_b`` of the scattered field of the y-dipole at ``r_a``, solved on
+    the tight grid round the resonator, the source and the receiver."""
+    n_y = (0.0, 1.0)
+    op, e_s = _scattered_field(cfg, r_a, n_y, omega, [r_a, r_b])
+    g = green_b_2d(np.asarray(r_b, dtype=float), np.asarray(r_a, dtype=float),
+                   omega, cfg.bg)[1, 1] + op.sample(e_s, r_b, n_y)
     return abs(g) ** 2 / im_green_b_diag(omega, cfg.bg) ** 2
 
 

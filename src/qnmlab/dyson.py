@@ -26,7 +26,7 @@ steep 1/R^2 kernel needs below ~10 nm standoffs.
 import numpy as np
 
 from .background import green_b_2d
-from .core import Background, DomainError, contrast_block
+from .core import Background, ComplexFrequency, DomainError, contrast_block
 from .solver.modes import ModeField
 
 __all__ = [
@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 
-def lorentzian_prefactor(mode_or_freq, omega):
-    """Single-pole amplitude ``w^2 / (2 w_t (w_t - w))``."""
-    freq = getattr(mode_or_freq, "frequency", mode_or_freq)
+def lorentzian_prefactor(freq: ComplexFrequency, omega):
+    """Single-pole amplitude ``w^2 / (2 w_t (w_t - w))`` of the pole
+    ``freq``."""
     wt = freq.omega_tilde
     return omega**2 / (2.0 * wt * (wt - omega))
 

@@ -90,7 +90,8 @@ def mode_green_model(mode, bg) -> GreenModel:
     def scat(r1, r2, omega):
         v1 = mode.value_at([r1])[0]
         v2 = mode.value_at([r2])[0]
-        return lorentzian_prefactor(mode, omega) * np.outer(v1, v2)
+        return (lorentzian_prefactor(mode.frequency, omega)
+                * np.outer(v1, v2))
     return GreenModel("f", scat, bg)
 
 
@@ -98,7 +99,8 @@ def far_green_model(reg: RegularizedField) -> GreenModel:
     def scat(r1, r2, omega):
         f1 = reg.eval([r1], omega)[0]
         f2 = reg.eval([r2], omega)[0]
-        return lorentzian_prefactor(reg.mode, omega) * np.outer(f1, f2)
+        return (lorentzian_prefactor(reg.mode.frequency, omega)
+                * np.outer(f1, f2))
     return GreenModel("far", scat, reg.bg)
 
 

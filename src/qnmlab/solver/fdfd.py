@@ -1,6 +1,6 @@
 """2D frequency-domain Maxwell solver on a staggered Yee grid with PML.
 
-Discretizes ``curl curl E - k0^2 eps(r, w) E = k0^2 s`` for the in-plane
+Discretizes ``A(w) = curl curl - k0^2 eps(r, w)`` for the in-plane
 polarization (unknowns E_x, E_y; the out-of-plane curl h_z = (curl E)_z is
 carried as a derived quantity).  Stretched-coordinate PML absorbers emulate
 open boundaries; the stretch factors are evaluated at the (possibly complex)
@@ -34,19 +34,28 @@ fill than the vector form; the solution is algebraically identical.
 ``solve`` factors it in complex128; ``sweep`` factors it in complex64 and
 returns one unrefined pass, the approximate shift-inverse that the pole
 search's residual inverse iteration needs, at half the factor's bytes.
-Every driven solve goes through ``solve``.
+Every driven solve goes through ``solve``, and every one is a
+scattered-field solve (Taflove & Hagness, *Computational Electrodynamics*,
+3rd ed., ch. 5): the total field is an analytic incident field plus the
+scattered field ``E_s`` of
 
-A point source and a point sample share one bilinear stencil per
-component: at most 4 E_x and 4 E_y nodes round the point, folded back
-across the mirror planes.  A solution vector is sampled by gathering those
-at most 8 entries and summing them in stencil order, never by a dot with a
-dense weight vector: a dense dot is a BLAS call, and where numpy and scipy
-each load their own BLAS it wakes numpy's thread pool, which then spins
-beside SuperLU's own during the next factorization.
+    A(w) E_s = (K - K_b) E_inc,
+
+the grid form of the Dyson equation E = E_inc + Int G^B (eps - eps_b) E.
+``K - K_b`` is nonzero only on the few hundred nodes that hold contrast, so
+``scattered_rhs`` evaluates the incident field there and nowhere else.
+
+A sample reads a point through one bilinear stencil per component: at most
+4 E_x and 4 E_y nodes round the point, folded back across the mirror
+planes.  A solution vector is sampled by gathering those at most 8 entries
+and summing them in stencil order, never by a dot with a dense weight
+vector: a dense dot is a BLAS call, and where numpy and scipy each load
+their own BLAS it wakes numpy's thread pool, which then spins beside
+SuperLU's own during the next factorization.
 
 Mirror-symmetry reduction: for fields with E_y even / E_x odd across x = 0
-and/or y = 0 (the parity of a y-oriented dipole source on the axis), the
-operator can be restricted to the first quadrant.  The restriction is the
+and/or y = 0 (the parity of a uniform E_y incident field), the operator
+can be restricted to the first quadrant.  The restriction is the
 exact Galerkin projection of the full symmetric operator, so eigenpairs and
 driven solutions coincide with the full-grid ones.
 """
@@ -162,38 +171,48 @@ class DiscreteOperator:
         sy_h = _stretch_profile(yh, self.ry0, y1, not self.mirror_y, True,
                                 pml, h, n_b, w)
 
-        # permittivity sampled at each node's own position (staircasing)
+        # permittivity sampled at each node's own position (staircasing); a
+        # node exactly on the material boundary (tangential E there) is
+        # weighted by its interior fraction, nonzero only in the block round
+        # the resonator.  Delta K = K - K_b, the scattered-field source
+        # weight, lives on those nodes only
         eps_b = self.bg.eps_b
         geometry = self.geometry
-        eps_mnp = eps_b if geometry is None else self.material.eps(self.omega)
-
-        def eps_nodes(xs, ys):
-            # staircase at the node position; a node exactly on the material
-            # boundary (tangential E there) is weighted by its interior
-            # fraction, nonzero only in the block round the resonator
-            frac = np.zeros((len(xs), len(ys)))
-            if geometry is not None:
-                idx, _, block = contrast_block(xs, ys, geometry, h)
-                frac[idx] = block
-            return eps_b + (eps_mnp - eps_b) * frac
-
-        eps_x = eps_nodes(xh, yi[1:ny])        # (nx, ny-1)
-        eps_y = eps_nodes(xi[self._iy0():nx], yh)  # (nx - iy0, ny)
-
+        d_eps = 0.0 if geometry is None \
+            else self.material.eps(self.omega) - eps_b
         k0sq = (w / C0) ** 2
         iy0 = self._iy0()
+        mult_c = (2 if self.mirror_x else 1) * (2 if self.mirror_y else 1)
+        mult_ey = np.full(nx - iy0, mult_c, dtype=float)
+        if self.mirror_x:
+            mult_ey[0] = mult_c / 2  # E_y nodes on the mirror line
+        # (unknown index, position, Delta K) of the nodes that hold contrast
+        dk = [(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0))]
+
+        def eps_nodes(xs, ys, sx, sy, mult, offset):
+            frac = np.zeros((len(xs), len(ys)))
+            if geometry is not None:
+                idx, pts, block = contrast_block(xs, ys, geometry, h)
+                frac[idx] = block
+                i, j = np.nonzero(block > 0)
+                i0, j0 = idx[0].start, idx[1].start
+                dk.append((offset + (i + i0) * len(ys) + j + j0, pts[i, j],
+                           k0sq * (d_eps * block[i, j]) * sx[i + i0]
+                           * sy[j + j0] * mult[i + i0]))
+            return eps_b + d_eps * frac
+
         self.n_ex = nx * (ny - 1)
         self.n_ey = (nx - iy0) * ny
         self.n_e = self.n_ex + self.n_ey
         self.n_hz = nx * ny
-
-        mult_c = (2 if self.mirror_x else 1) * (2 if self.mirror_y else 1)
+        eps_x = eps_nodes(xh, yi[1:ny], sx_h, sy_i[1:ny],
+                          np.full(nx, mult_c), 0)        # (nx, ny-1)
+        eps_y = eps_nodes(xi[iy0:nx], yh, sx_i[iy0:nx], sy_h, mult_ey,
+                          self.n_ex)                      # (nx - iy0, ny)
+        self._dk_idx, self._dk_pts, self._dk = map(np.concatenate, zip(*dk))
 
         # K diagonal over E nodes (includes mirror multiplicities)
         kx = k0sq * eps_x * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
-        mult_ey = np.full(nx - iy0, mult_c, dtype=float)
-        if self.mirror_x:
-            mult_ey[0] = mult_c / 2  # E_y nodes on the mirror line
         ky = (k0sq * eps_y * sx_i[iy0:nx, None] * sy_h[None, :]
               * mult_ey[:, None])
         self._kdiag = np.concatenate([kx.ravel(), ky.ravel()])
@@ -279,7 +298,7 @@ class DiscreteOperator:
             self._lu32 = self._schur_factor(np.complex64)
         return self._through(self._lu32, np.complex64, b)
 
-    # -- sources and sampling -------------------------------------------------
+    # -- source and sampling --------------------------------------------------
 
     def _fold_node(self, i, j, comp):
         """Map full-lattice node indices into the reduced domain.
@@ -328,10 +347,9 @@ class DiscreteOperator:
         ``sum(w x[i])`` interpolates n . E at a point; an index repeats when
         two stencil nodes fold onto one across a mirror plane.
 
-        A source and a sample share this stencil, and so its check: the
-        point must lie in the interior box, where the PML scaling is unity.
-        A point in the PML, or past the grid where the stencil would drop
-        its nodes, raises ``DomainError``."""
+        The point must lie in the interior box, where the PML scaling is
+        unity.  A point in the PML, or past the grid where the stencil would
+        drop its nodes, raises ``DomainError``."""
         (ix0, ix1), (iy0, iy1) = self.grid.interior_box()
         x, y = position
         if not (ix0 <= x <= ix1 and iy0 <= y <= iy1):
@@ -346,39 +364,22 @@ class DiscreteOperator:
     def sample(self, x, position, orientation):
         """n . E at a point from a solution vector ``x``: a gather of the at
         most 8 stencil entries, summed in stencil order.  The point is where
-        a receiving dipole n would sit, so like a source it must lie outside
-        the PML."""
+        a receiving dipole n would sit; it must lie outside the PML."""
         return sum((wt * x[idx] for idx, wt in
                     self._sampling_weights(position, orientation)), 0j)
 
-    def dipole_rhs(self, dipole, allow_symmetrized=False):
-        """Discrete delta source ``k0^2 delta(r - r_a) n_a`` (scaled form).
-
-        The source must sit outside the PML, where the scaling is unity.  On
-        a mirror-reduced grid an off-plane source folds onto itself plus its
-        mirror images; that symmetrized pair is a different physical source,
-        so it is rejected unless ``allow_symmetrized`` is set (pole searches
-        only need *a* source that couples to the target parity).
-        """
-        x, y = dipole.position
-        if not allow_symmetrized:
-            if (self.mirror_x and abs(x) > 1e-9 * self.h) or \
-               (self.mirror_y and abs(y) > 1e-9 * self.h):
-                raise DomainError(
-                    "with mirror symmetry the source must lie on the mirror "
-                    "plane (pass allow_symmetrized=True to fold it)")
-        k0sq = (self.omega / C0) ** 2
-        b = np.zeros(self.n_e)
-        for idx, wt in self._sampling_weights(dipole.position,
-                                              dipole.orientation):
-            b[idx] += wt
-        return b * k0sq / self.h**2
-
-    def self_green(self, dipole):
-        """n_a . G(r_a, r_a) . n_a of the discrete delta source: one solve,
-        sampled at the source with its own orientation."""
-        return self.sample(self.solve(self.dipole_rhs(dipole)),
-                           dipole.position, dipole.orientation)
+    def scattered_rhs(self, incident):
+        """Right-hand side ``Delta K E_inc`` of the scattered-field solve
+        ``A E_s = Delta K E_inc``, where ``Delta K = K - K_b`` is nonzero
+        only on the nodes that hold contrast.  ``incident(points)`` returns
+        the incident field (N, 2) at those nodes; each node takes its own
+        component.  On a mirror-reduced grid the incident field must have
+        the target parity (E_x odd, E_y even)."""
+        e_inc = incident(self._dk_pts)
+        comp = (self._dk_idx >= self.n_ex).astype(int)  # E_x nodes first
+        b = np.zeros(self.n_e, dtype=complex)
+        b[self._dk_idx] = self._dk * e_inc[np.arange(len(comp)), comp]
+        return b
 
     # -- field containers ------------------------------------------------------
 

@@ -17,12 +17,13 @@ so the shift is factored once in single precision
 (``DiscreteOperator.sweep``), half the bytes of a double factor.  Driven
 solves (:func:`driven_response`) keep the double one.
 
-The vector starts from two passes through the shift's factor of a fixed
-interior source placed with the symmetry of the target mode - by default a
-y-oriented point source at the resonator center, which couples to the
-fundamental plasmon of a rod.  The contraction per step scales with
-``|s - w|``; a step that cuts the eigen-residual ``|A(w) x|`` less than
-tenfold moves the shift to the current ``w`` (one more factorization).
+The vector starts from two passes through the shift's factor of the
+right-hand side of the scattered-field solve for a uniform E_y incident
+field.  That field has the target parity under every mirror reduction (E_y
+even, E_x odd) and couples to the fundamental plasmon of a rod.  The
+contraction per step scales with ``|s - w|``; a step that cuts the
+eigen-residual ``|A(w) x|`` less than tenfold moves the shift to the
+current ``w`` (one more factorization).
 
 The mode phase gauge makes the largest-magnitude field sample real and
 positive.  Mode files round-trip bit-exactly through a small container
@@ -43,7 +44,6 @@ from ..core import (
     Background,
     ComplexFrequency,
     Cylinder2D,
-    Dipole,
     DomainError,
     GridSpec,
     PmlSpec,
@@ -104,30 +104,28 @@ class ModeField:
                        else self.norm_value)
 
 
-def _default_source(geometry):
-    return Dipole(position=geometry.center, orientation=(0.0, 1.0))
+def _uniform_ey(points):
+    """A uniform unit E_y incident field at ``points`` (N, 2)."""
+    return np.tile((0.0, 1.0), (len(points), 1))
 
 
 def _default_probe(geometry):
-    # off-source interior point with strong overlap for dipole-like modes
+    # interior point with strong overlap for dipole-like modes
     (bx0, bx1), (by0, by1) = geometry.bounding_box
     return (0.5 * (bx0 + bx1), 0.5 * (by0 + by1) + 0.45 * (by1 - by0))
 
 
 def driven_response(grid, geometry, material, bg, omega,
                     symmetry=None) -> complex:
-    """Field response at an interior probe point to the default interior
-    source (a y-dipole at the resonator center) at ``omega``.
+    """E_y of the scattered response to a uniform E_y incident field (the
+    pole search's start field) at an interior probe point, at ``omega``.
 
     The analytic continuation of this scalar in complex frequency has poles
     at the quasinormal-mode eigenfrequencies.  Exposed for diagnostics such
     as single-pole lineshape fits over real frequency.
     """
     op = assemble(grid, geometry, material, bg, omega, symmetry)
-    # a symmetrized source is fine here: any source coupling to the target
-    # parity sees the same poles
-    x = op.solve(op.dipole_rhs(_default_source(geometry),
-                               allow_symmetrized=True))
+    x = op.solve(op.scattered_rhs(_uniform_ey))
     return op.sample(x, _default_probe(geometry), (0.0, 1.0))
 
 
@@ -139,7 +137,7 @@ def _gauge_fix(ex, ey):
 
 
 def find_qnm(grid, geometry, material, bg, search: PoleSearch,
-             symmetry=None, source=None) -> ModeField:
+             symmetry=None) -> ModeField:
     """Locate one quasinormal mode: eigenfrequency and raw field profile.
 
     Residual inverse iteration on the single-precision factor of ``A`` at
@@ -149,10 +147,11 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     first relative step below ``rel_tol``; the vector is then refined at
     that fixed ``w`` while a step still cuts the eigen-residual tenfold.
     The factor moves to the current ``w`` (the old one is freed first) when
-    an outer step cuts the eigen-residual less than tenfold.  ``symmetry``
-    ("x", "y", "xy") solves the mirror-reduced problem when geometry and
-    source allow it.  Warns
-    when the grid leaves less than one free-space wavelength (at the guess)
+    an outer step cuts the eigen-residual less than tenfold.  The vector
+    starts from the scattered-field right-hand side of a uniform E_y
+    incident field.  ``symmetry`` ("x", "y", "xy") solves the
+    mirror-reduced problem of a geometry centred on the mirror planes.
+    Warns when the grid leaves less than one free-space wavelength (at the guess)
     between the resonator and its edge, or resolves the resonator's
     smallest side by fewer than 10 cells.  Raises
     :class:`PoleSearchError` when an iterate leaves the search basin (a
@@ -160,7 +159,6 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     iterates do not converge.  That no other pole lies in the basin is
     assumed, not checked.
     """
-    source = source or _default_source(geometry)
     sigma = complex(search.omega_guess)
     basin = 0.25 * abs(sigma)
     _warn_grid(grid, geometry, sigma)
@@ -171,12 +169,10 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
             return op
         return assemble(grid, geometry, material, bg, w, symmetry)
 
-    # two passes at the guess: one alone leaves the source's local
-    # self-field dominant, which can throw the first Rayleigh root out of
-    # the basin.  A symmetrized source is fine here: any source coupling to
-    # the target parity finds the same pole and mode profile
+    # two passes at the guess: each one raises the mode's share of the
+    # vector against the non-resonant rest of the response
     shifted = assemble(grid, geometry, material, bg, sigma, symmetry)
-    x = shifted.sweep(shifted.dipole_rhs(source, allow_symmetrized=True))
+    x = shifted.sweep(shifted.scattered_rhs(_uniform_ey))
     x = _unit(shifted.sweep(x))
     omega, res = sigma, _residual(shifted, x)
     iterates, shifts = [sigma], [sigma]

@@ -12,7 +12,6 @@ from qnmlab.core import (
     Background,
     ConstantMaterial,
     Cylinder2D,
-    Dipole,
     DomainError,
     DrudeModel,
     GridSpec,
@@ -23,10 +22,10 @@ from qnmlab.core import (
 from qnmlab import core
 from qnmlab.solver import PoleSearch, assemble, colocate, curl_cells, find_qnm
 from qnmlab.solver import fdfd
+from qnmlab.solver.modes import _uniform_ey
 
 BG = Background(1.5)
 OMEGA = 2 * np.pi * 415.863e12
-LAM_B = 2 * np.pi / BG.wavenumber(OMEGA)  # ~480 nm in-medium
 
 
 def _empty_grid(width, h, pml_cells=12):
@@ -99,78 +98,36 @@ def test_under_resolved_feature_warns():
     assert [w.category for w in under] == [UserWarning]
 
 
-def test_dipole_solve_in_empty_domain_matches_analytic_background():
-    # pins the discrete delta normalization and the PML quality at once
-    h = LAM_B / 80
-    grid = _empty_grid(2.6 * LAM_B, h, pml_cells=20)
-    op = assemble(grid, None, None, BG, OMEGA)
-    dip = Dipole(position=(0.0, 0.0), orientation=(0.0, 1.0))
-    b = op.dipole_rhs(dip)
-    ex, ey = op.unpack(op.solve(b))
-    xc, yc = grid.cell_centers()
-    exc, eyc = colocate(ex, ey)
-    # compare on a ring of radius lambda/2 in all directions
-    ths = np.linspace(0, 2 * np.pi, 12, endpoint=False)
-    pts = 0.5 * LAM_B * np.stack([np.cos(ths), np.sin(ths)], axis=-1)
-    from qnmlab.solver import bilinear_sample
-    for p in pts:
-        gy_num = bilinear_sample(xc, yc, eyc, p)[0]
-        gx_num = bilinear_sample(xc, yc, exc, p)[0]
-        g_an = green_b_2d(p, [0.0, 0.0], OMEGA, BG) @ np.array([0.0, 1.0])
-        assert gy_num == pytest.approx(g_an[1], rel=4e-2)
-        assert abs(gx_num - g_an[0]) < 4e-2 * abs(g_an[1])
-
-
 def test_dipole_scattered_part_vanishes_without_contrast():
-    # total minus the same-grid background solve of the same source
+    # a material equal to the background holds no contrast: the right-hand
+    # side (K - K_b) E_inc vanishes, and with it the scattered field
     grid = _empty_grid(0.8e-6, 8e-9)
     rod = Rod2D(40e-9, 160e-9)
-    dip = Dipole(position=(0, 150e-9), orientation=(0, 1))
+    r_a = np.array([0.0, 150e-9])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         op = assemble(grid, rod, ConstantMaterial(BG.eps_b), BG, OMEGA)
-    twin = assemble(grid, None, None, BG, OMEGA)
-    b = op.dipole_rhs(dip)
-    x_tot, x_bg = op.solve(b), twin.solve(b)
-    scale = np.abs(op.unpack(x_tot)[1]).max()
-    g_scat = op.sample(x_tot - x_bg, dip.position, dip.orientation)
-    assert abs(g_scat) < 1e-10 * scale
-    assert np.abs(x_tot - x_bg).max() < 1e-10 * scale
-
-
-def test_discrete_reciprocity_between_two_solves():
-    # G_yy(r_b, r_a) = G_yy(r_a, r_b): the operator is complex-symmetric and
-    # a source and a sample share one stencil
-    grid = _empty_grid(1.0e-6, 5e-9)
-    rod = Rod2D(10e-9, 80e-9)
-    mat = DrudeModel(1.26e16, 7e13)
-    r_a = (35e-9, 20e-9)
-    r_b = (120e-9, -30e-9)  # 100 nm-ish separation, both off-axis
-    n = (0.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = assemble(grid, rod, mat, BG, OMEGA)
-    g_ab = op.sample(op.solve(op.dipole_rhs(Dipole(position=r_a,
-                                                   orientation=n))), r_b, n)
-    g_ba = op.sample(op.solve(op.dipole_rhs(Dipole(position=r_b,
-                                                   orientation=n))), r_a, n)
-    assert g_ab == pytest.approx(g_ba, rel=1e-12)
+    b = op.scattered_rhs(lambda r: green_b_2d(r, r_a, OMEGA, BG)
+                         @ np.array([0.0, 1.0]))
+    assert len(op._dk) > 0
+    assert not np.any(b)
+    assert not np.any(op.solve(b))
 
 
 def test_mirror_symmetry_reproduces_full_solve():
     grid = _empty_grid(0.8e-6, 8e-9)
     rod = Rod2D(40e-9, 160e-9)
     mat = DrudeModel(1.26e16, 7e13)
-    dip = Dipole(position=(0.0, 0.0), orientation=(0.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         op_full = assemble(grid, rod, mat, BG, OMEGA)
         op_q = assemble(grid, rod, mat, BG, OMEGA, symmetry="xy")
         op_hx = assemble(grid, rod, mat, BG, OMEGA, symmetry="x")
-    xf = op_full.solve(op_full.dipole_rhs(dip))
+    # a uniform E_y incident field has the reduced parity
+    xf = op_full.solve(op_full.scattered_rhs(_uniform_ey))
     exf, eyf = op_full.unpack(xf)
     for op in (op_q, op_hx):
-        x = op.solve(op.dipole_rhs(dip))
+        x = op.solve(op.scattered_rhs(_uniform_ey))
         ex, ey = op.unpack(x)
         assert ex.shape == exf.shape and ey.shape == eyf.shape
         scale = np.abs(eyf).max()
@@ -179,8 +136,8 @@ def test_mirror_symmetry_reproduces_full_solve():
 
 
 def _dense_sampling_vector(op, position, orientation):
-    # the dense weight vector that sampling and the source were once built
-    # from, kept as the reference of the stencil gather
+    # the dense weight vector that sampling was once built from, kept as
+    # the reference of the stencil gather
     w = np.zeros(op.n_e)
     for comp, amp in zip(("ex", "ey"), orientation):
         if amp == 0.0:
@@ -216,32 +173,6 @@ def test_sample_matches_the_dense_dot(symmetry):
             assert op.sample(x, p, n) == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("symmetry, position", [
-    ("", (7.3e-9, 43.1e-9)),
-    ("x", (0.0, 47.5e-9)),     # E_x stencil folds across x = 0
-    ("xy", (0.0, 0.0)),        # both fold, at the rod centre
-])
-def test_self_green_matches_the_dense_dot(symmetry, position):
-    op = _sampling_rod_operator(symmetry)
-    dip = Dipole(position=position, orientation=(0.6, 0.8))
-    w = _dense_sampling_vector(op, dip.position, dip.orientation)
-    x = op.solve(op.dipole_rhs(dip))
-    assert op.self_green(dip) == pytest.approx(w @ x, rel=1e-14)
-
-
-@pytest.mark.parametrize("symmetry", ["", "x", "xy"])
-def test_dipole_rhs_is_the_dense_build_bit_for_bit(symmetry):
-    op = _sampling_rod_operator(symmetry)
-    k0sq = (op.omega / 299792458.0) ** 2
-    for p in FOLDING_POINTS:
-        for n in ORIENTATIONS:
-            dip = Dipole(position=p, orientation=n)
-            want = _dense_sampling_vector(op, dip.position, dip.orientation) \
-                * k0sq / op.h**2
-            got = op.dipole_rhs(dip, allow_symmetrized=True)
-            assert got.tobytes() == want.tobytes()
-
-
 def test_sampling_a_solution_allocates_only_its_stencil():
     # on the paper grid's mirror-reduced operator (352 380 unknowns) a dense
     # weight vector and its complex cast peak at 8.5 MB; the gather reads at
@@ -264,13 +195,6 @@ def test_sampling_a_solution_allocates_only_its_stencil():
 
 def test_symmetry_rejects_off_plane_source():
     grid = _empty_grid(0.8e-6, 8e-9)
-    rod = Rod2D(40e-9, 160e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        op = assemble(grid, rod, DrudeModel(1.26e16, 7e13), BG, OMEGA,
-                      symmetry="x")
-    with pytest.raises(DomainError):
-        op.dipole_rhs(Dipole(position=(40e-9, 0), orientation=(0, 1)))
     # an off-centre rod would be solved together with its mirror image
     off = Rod2D(40e-9, 160e-9, center=(40e-9, 0.0))
     with warnings.catch_warnings():
@@ -289,26 +213,26 @@ def test_symmetry_rejects_off_plane_source():
     (0.0, -250e-9),
 ])
 def test_sampling_outside_the_interior_box_raises(point):
-    # a sample shares its stencil and its check with a source: neither
-    # returns a PML-damped value or the 0 of a stencil that lost its nodes
+    # a sample returns neither a PML-damped value nor the 0 of a stencil
+    # that lost its nodes
     grid = _empty_grid(0.8e-6, 10e-9, pml_cells=16)
     op = assemble(grid, None, None, BG, OMEGA)
-    x = op.solve(op.dipole_rhs(Dipole(position=(0.0, 0.0),
-                                      orientation=(0.0, 1.0))))
+    x = np.ones(op.n_e, dtype=complex)
     assert np.isfinite(op.sample(x, (240e-9, 0.0), (0.0, 1.0)))
-    with pytest.raises(DomainError, match="outside the PML region"):
-        op.sample(x, point, (0.0, 1.0))
     with pytest.raises(DomainError, match="dipole must lie outside the PML"):
-        op.dipole_rhs(Dipole(position=point, orientation=(0.0, 1.0)))
+        op.sample(x, point, (0.0, 1.0))
 
 
 def test_pml_position_insensitivity_of_dipole_field():
-    # enlarging the domain by 20% changes the mid-field by well under 1%
+    # enlarging the domain by 20% changes the rod's scattered mid-field by
+    # well under 1%
     def run(width):
         grid = _empty_grid(width, 8e-9, pml_cells=16)
-        op = assemble(grid, None, None, BG, OMEGA)
-        dip = Dipole(position=(0.0, 0.0), orientation=(0.0, 1.0))
-        ex, ey = op.unpack(op.solve(op.dipole_rhs(dip)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            op = assemble(grid, Rod2D(40e-9, 160e-9),
+                          DrudeModel(1.26e16, 7e13), BG, OMEGA)
+        ex, ey = op.unpack(op.solve(op.scattered_rhs(_uniform_ey)))
         xc, yc = grid.cell_centers()
         from qnmlab.solver import bilinear_sample
         return bilinear_sample(xc, yc, colocate(ex, ey)[1], [[200e-9, 40e-9]])[0]
@@ -320,8 +244,8 @@ def test_pml_position_insensitivity_of_dipole_field():
 
 def _reference_arrays(op):
     """The operator's K, M and B as the full-lattice build makes them:
-    interior fractions on every node, B through COO triplets.  Returns
-    (b, kdiag, mdiag, fractions)."""
+    interior fractions on every node, B through COO triplets, and the dense
+    K - K_b.  Returns (b, kdiag, mdiag, fractions, dk)."""
     grid, h, w = op.grid, op.h, op.omega
     (_, x1), (_, y1) = grid.extent
     nx, ny, iy0 = op.nx, op.ny, op._iy0()
@@ -361,6 +285,11 @@ def _reference_arrays(op):
     ky = k0sq * eps_y * sx_i[iy0:nx, None] * sy_h[None, :] * mult_ey[:, None]
     kdiag = np.concatenate([kx.ravel(), ky.ravel()])
     mdiag = mult_c * np.outer(sx_h, sy_h).ravel()
+    d_eps = eps_mnp - eps_b
+    dkx = k0sq * (d_eps * fracs[0]) * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
+    dky = (k0sq * (d_eps * fracs[1]) * sx_i[iy0:nx, None] * sy_h[None, :]
+           * mult_ey[:, None])
+    dk = np.concatenate([dkx.ravel(), dky.ravel()])
 
     rows, cols, vals = [], [], []
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
@@ -383,7 +312,7 @@ def _reference_arrays(op):
     b = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(op.n_hz, op.n_e))
-    return b, kdiag, mdiag, fracs
+    return b, kdiag, mdiag, fracs, dk
 
 
 @pytest.mark.parametrize("symmetry", ["", "x", "y", "xy"])
@@ -401,7 +330,7 @@ def test_assembly_is_bit_identical_to_the_full_lattice_build(
         warnings.simplefilter("ignore")
         op = assemble(grid, geometry, DrudeModel(1.26e16, 7e13), BG, omega,
                       symmetry=symmetry)
-    b, kdiag, mdiag, fracs = _reference_arrays(op)
+    b, kdiag, mdiag, fracs, dk = _reference_arrays(op)
     if isinstance(geometry, Rod2D):
         assert any(np.any(f == 0.25) for f in fracs)
     if geometry is not None:
@@ -411,6 +340,10 @@ def test_assembly_is_bit_identical_to_the_full_lattice_build(
                       (op._mdiag, mdiag)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # the scattered-field source: K - K_b on the contrast nodes, 0 elsewhere
+    # (equal values; the dense product leaves signed zeros off the resonator)
+    assert np.array_equal(op.scattered_rhs(lambda r: np.ones((len(r), 2))),
+                          dk)
 
 
 def test_assembly_probes_only_the_nodes_near_the_resonator(monkeypatch):

@@ -14,7 +14,6 @@ from qnmlab.core import (
     ComplexFrequency,
     ConstantMaterial,
     Cylinder2D,
-    Dipole,
     DomainError,
     DrudeModel,
     GridSpec,
@@ -33,6 +32,7 @@ from qnmlab.solver import (
     save_mode,
 )
 from qnmlab.solver.mie import mie_pole
+from qnmlab.solver.modes import _uniform_ey
 from qnmlab.solver.roots import secant_root
 
 BG = Background(1.5)
@@ -117,24 +117,13 @@ LORENTZ_NEAR = 2 * np.pi * (386.8e12 - 30.3e12j)
 
 
 def test_single_pole_lorentzian_fit_of_rod_response():
-    # the rod plasmon is spectrally isolated: the scattered response at an
-    # exterior probe over omega_c +- 1.5 gamma_c fits one pole plus a smooth
+    # the rod plasmon is spectrally isolated: the driven response (the
+    # scattered field of a uniform E_y incident field, at a probe inside the
+    # rod) over omega_c +- 1.5 gamma_c fits one pole plus a smooth
     # background to well under 5%
-    from qnmlab.core import Dipole, DrudeModel
-    from qnmlab.solver import assemble
-
     rod = Rod2D(10e-9, 80e-9)
     mat = DrudeModel(1.26e16, 7e13)
     grid = _grid(2.5e-9, width=0.9e-6)
-    src = Dipole(position=(0, 0), orientation=(0, 1))
-    probe = (0.0, 50e-9)
-
-    def scattered_response(w):
-        op = assemble(grid, rod, mat, BG, w, symmetry="xy")
-        twin = assemble(grid, None, None, BG, w, symmetry="xy")
-        b = op.dipole_rhs(src)
-        return op.sample(op.solve(b) - twin.solve(b), probe, (0.0, 1.0))
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mode = find_qnm(grid, rod, mat, BG,
@@ -142,7 +131,8 @@ def test_single_pole_lorentzian_fit_of_rod_response():
                         symmetry="xy")
         wt = mode.frequency.omega_tilde
         ws = wt.real + np.linspace(-1.5, 1.5, 9) * abs(wt.imag)
-        resp = np.array([scattered_response(w) for w in ws])
+        resp = np.array([driven_response(grid, rod, mat, BG, w,
+                                         symmetry="xy") for w in ws])
     # least squares for r(w) = a w^2/(wt - w) + b + c (w - w0), with
     # column normalization so the pole scale does not swamp the background
     basis = np.stack([ws**2 / (wt - ws), np.ones_like(ws), ws - wt.real],
@@ -261,7 +251,7 @@ def test_sweep_is_an_approximate_solve():
     # not equal to it
     op = assemble(_grid(5e-9, width=2.1e-6, pml=24), ROD, DRUDE, BG,
                   ROD_GUESS, symmetry="xy")
-    b = op.dipole_rhs(Dipole(position=(0.0, 0.0), orientation=(0.0, 1.0)))
+    b = op.scattered_rhs(_uniform_ey)
     exact = op.solve(b)
     gap = np.linalg.norm(op.sweep(b) - exact) / np.linalg.norm(exact)
     assert 1e-6 < gap < 1e-3

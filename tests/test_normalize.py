@@ -8,7 +8,6 @@ from qnmlab.core import (
     ConstantMaterial,
     ConvergenceError,
     Cylinder2D,
-    Dipole,
     DomainError,
     DrudeModel,
     GridSpec,
@@ -43,8 +42,7 @@ def cyl_mode():
         warnings.simplefilter("ignore")
         mode = find_qnm(grid, cyl, mat, BG,
                         PoleSearch(omega_guess=2.9619e15 - 0.0814e15j),
-                        symmetry="xy",
-                        source=Dipole(position=(0, 75e-9), orientation=(0, 1)))
+                        symmetry="xy")
     return mode, mat
 
 
