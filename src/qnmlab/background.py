@@ -13,12 +13,18 @@ normalizer) is finite:
 
     Im{n . G^B(r, r) . n} = (w/c)^2 / 8
 
+The background is lossless and the frequency real, so kR is real and
+positive: ``green_b_2d`` builds the Hankel functions from the real-argument
+Bessel functions, ``H_n^(1) = J_n + i Y_n`` (Cephes ``j0, j1, y0, y1``),
+which cost a fraction of the complex-argument ``hankel1``.  It refuses a
+complex or non-positive frequency.
+
 All evaluators broadcast over leading point axes and are pure functions.
 """
 
 import numpy as np
 from scipy.constants import c as C0
-from scipy.special import hankel1
+from scipy.special import hankel1, j0, j1, y0, y1
 
 from .core import Background, DomainError
 
@@ -36,12 +42,11 @@ def scalar_g_2d(k, R):
 
 
 def _pair_geometry(r1, r2):
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    d = np.atleast_2d(r1 - r2)
-    scalar = (r1 - r2).ndim == 1
+    d = np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)
+    scalar = d.ndim == 1
+    d = np.atleast_2d(d)
     R = np.sqrt(np.sum(d**2, axis=-1))
-    if np.any(R == 0):
+    if not R.all():
         raise DomainError("Green function is singular at coincident points; "
                           "use im_green_b_diag for the coincident imaginary part")
     rho = d / R[..., None]
@@ -55,20 +60,27 @@ def green_b_2d(r1, r2, omega, bg: Background):
 
         G_ij = k0^2 (i/4) [ (d_ij - u_i u_j) H0(kR) + (2 u_i u_j - d_ij) H1(kR)/(kR) ]
 
-    with ``u = (r1 - r2)/R``.  Broadcasts over leading axes of ``r1``/``r2``
-    and returns shape ``(..., 2, 2)``.
+    with ``u = (r1 - r2)/R`` and ``H_n = J_n + i Y_n`` at real ``kR``.
+    Broadcasts over leading axes of ``r1``/``r2`` and returns shape
+    ``(..., 2, 2)``.  Each pair is computed on its own, so a value does not
+    depend on which other pairs share the call.
     """
+    if np.iscomplexobj(omega) or not omega > 0:
+        raise DomainError(f"green_b_2d needs a real positive frequency, "
+                          f"got {omega!r}")
     R, rho, scalar = _pair_geometry(r1, r2)
-    k = bg.wavenumber(omega)
-    k0 = omega / C0
-    z = k * R
-    h0 = hankel1(0, z)
-    h1z = hankel1(1, z) / z
-    eye = np.eye(2)
-    uu = rho[..., :, None] * rho[..., None, :]
-    g = 0.25j * ((eye - uu) * h0[..., None, None]
-                 + (2.0 * uu - eye) * h1z[..., None, None])
-    g = k0**2 * g
+    z = bg.wavenumber(omega) * R
+    h0 = j0(z) + 1j * y0(z)
+    h1z = (j1(z) + 1j * y1(z)) / z
+    # the bracket regrouped as  (H0 - H1/z) d_ij + (2 H1/z - H0) u_i u_j
+    c = 0.25j * (omega / C0) ** 2
+    iso = c * (h0 - h1z)
+    aniso = c * (2.0 * h1z - h0)
+    ux, uy = rho[..., 0], rho[..., 1]
+    g = np.empty(z.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = iso + aniso * (ux * ux)
+    g[..., 1, 1] = iso + aniso * (uy * uy)
+    g[..., 0, 1] = g[..., 1, 0] = aniso * (ux * uy)
     return g[0] if scalar else g
 
 

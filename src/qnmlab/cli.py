@@ -44,12 +44,14 @@ field.  The emission oracle samples it at the dipole, so no background
 self-term is subtracted; the propagator oracle adds it, sampled at the
 receiver, to the analytic background term.  The propagator oracle builds
 its grid round the source and one receiver, so a receiver's value does not
-depend on which other receivers are asked.  The oracle keeps no state
-between queries: a query costs one factorization whatever its frequency,
-and its value does not depend on the queries before it.  Validate computes
-nothing: it reads both the far model and the oracle at the scan
-checkpoints from the ``f_a_far`` and ``f_a_oracle`` columns that the
-distance scan wrote to ``distance.csv``, and loads no mode.
+depend on which other receivers are asked.  A dipole or receiver inside
+the resonator or on its surface is refused with a ``DomainError`` that
+says which.  The oracle keeps no state between queries: a query costs one
+factorization whatever its frequency, and its value does not depend on
+the queries before it.  Validate computes nothing: it reads both the far
+model and the oracle at the scan checkpoints from the ``f_a_far`` and
+``f_a_oracle`` columns that the distance scan wrote to ``distance.csv``,
+and loads no mode.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -68,7 +70,7 @@ from scipy.constants import c as C0
 
 from .background import green_b_2d, im_green_b_diag
 from .config import ConfigError, RunConfig
-from .core import Dipole, DomainError, GridSpec, QnmError
+from .core import Dipole, GridSpec, QnmError, require_exterior
 from .dyson import RegularizedField
 from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
@@ -282,8 +284,7 @@ def _scattered_field(cfg, r_a, n_a, omega, points):
     background field ``G^B(r, r_a) . n_a`` on the resonator's contrast
     nodes."""
     r_a, n_a = np.asarray(r_a, dtype=float), np.asarray(n_a, dtype=float)
-    if cfg.geometry.inside(r_a):
-        raise DomainError("dipole position lies inside the resonator")
+    require_exterior(cfg.geometry, r_a, "dipole position")
     op = assemble(oracle_grid(cfg, points), cfg.geometry, cfg.material,
                   cfg.bg, omega)
     return op, op.solve(op.scattered_rhs(
@@ -306,6 +307,7 @@ def oracle_propagator(cfg: RunConfig, r_a, r_b, omega):
     ``propagator.csv``: the analytic background term plus a sample at
     ``r_b`` of the scattered field of the y-dipole at ``r_a``, solved on
     the tight grid round the resonator, the source and the receiver."""
+    require_exterior(cfg.geometry, r_b, "receiver")
     n_y = (0.0, 1.0)
     op, e_s = _scattered_field(cfg, r_a, n_y, omega, [r_a, r_b])
     g = green_b_2d(np.asarray(r_b, dtype=float), np.asarray(r_a, dtype=float),

@@ -196,10 +196,18 @@ class Rod2D:
 
     def inside(self, r):
         # strict inequality: points exactly on the boundary count as background
-        r = np.asarray(r, dtype=float)
-        dx = np.abs(r[..., 0] - self.center[0])
-        dy = np.abs(r[..., 1] - self.center[1])
+        dx, dy = self._offsets(r)
         return (dx < 0.5 * self.width) & (dy < 0.5 * self.length)
+
+    def in_closure(self, r):
+        """``inside`` with the surface included."""
+        dx, dy = self._offsets(r)
+        return (dx <= 0.5 * self.width) & (dy <= 0.5 * self.length)
+
+    def _offsets(self, r):
+        r = np.asarray(r, dtype=float)
+        return (np.abs(r[..., 0] - self.center[0]),
+                np.abs(r[..., 1] - self.center[1]))
 
     @property
     def bounding_box(self):
@@ -242,10 +250,17 @@ class Cylinder2D:
             raise DomainError("cylinder radius must be positive")
 
     def inside(self, r):
+        return self._offset2(r) < self.radius**2
+
+    def in_closure(self, r):
+        """``inside`` with the surface included."""
+        return self._offset2(r) <= self.radius**2
+
+    def _offset2(self, r):
         r = np.asarray(r, dtype=float)
         dx = r[..., 0] - self.center[0]
         dy = r[..., 1] - self.center[1]
-        return dx * dx + dy * dy < self.radius**2
+        return dx * dx + dy * dy
 
     @property
     def bounding_box(self):
@@ -261,6 +276,17 @@ class Cylinder2D:
             raise DomainError("nearest_tangent_plane expects an exterior point")
         n = d / dist
         return SurfacePlane(tuple(np.asarray(self.center) + self.radius * n), tuple(n))
+
+
+def require_exterior(geometry, points, what):
+    """Raise ``DomainError`` unless all ``points`` (..., 2) lie strictly
+    outside ``geometry``.  The message says whether ``what`` lies inside
+    the resonator or on its surface, where the staircased contrast and
+    the Green functions have no meaning."""
+    if np.any(geometry.in_closure(points)):
+        where = ("inside the resonator" if np.any(geometry.inside(points))
+                 else "on the resonator surface")
+        raise DomainError(f"{what} lies {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +326,19 @@ def colocate_at(ex, ey, i, j):
     return 0.5 * (ex[i, j] + ex[i, j + 1]), 0.5 * (ey[i, j] + ey[i + 1, j])
 
 
-def _bilinear(xc, yc, points, corner):
+# index offsets of the four straddling cells, in the order _bilinear sums them
+_CORNER_DI = np.array([[0], [1], [0], [1]])
+_CORNER_DJ = np.array([[0], [0], [1], [1]])
+
+
+def _bilinear(xc, yc, points, corners):
     """The one bilinear rule on the cell-center lattice (xc, yc): the lower
     left straddling cell (i0, j0) of each point, clipped to the grid, and
-    the sum of ``corner(i, j)`` over the four straddling cells with their
-    weights, always in the same order.  ``corner`` returns values of shape
-    (..., N) for the N points."""
+    the sum over the four straddling cells with their weights, always in
+    the same order.  ``corners(i, j)`` is called once, with index arrays
+    of shape (4, N) holding the cells (i0, j0), (i0 + 1, j0), (i0, j0 + 1)
+    and (i0 + 1, j0 + 1) of the N points, and returns values of shape
+    (..., 4, N)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     hx = xc[1] - xc[0]
     hy = yc[1] - yc[0]
@@ -315,10 +348,11 @@ def _bilinear(xc, yc, points, corner):
     j0 = np.clip(np.floor(v).astype(int), 0, len(yc) - 2)
     wu = u - i0
     wv = v - j0
-    return (corner(i0, j0) * (1 - wu) * (1 - wv)
-            + corner(i0 + 1, j0) * wu * (1 - wv)
-            + corner(i0, j0 + 1) * (1 - wu) * wv
-            + corner(i0 + 1, j0 + 1) * wu * wv)
+    c = corners(i0 + _CORNER_DI, j0 + _CORNER_DJ)
+    return (c[..., 0, :] * (1 - wu) * (1 - wv)
+            + c[..., 1, :] * wu * (1 - wv)
+            + c[..., 2, :] * (1 - wu) * wv
+            + c[..., 3, :] * wu * wv)
 
 
 def bilinear_sample(xc, yc, field, points):
@@ -434,9 +468,10 @@ class GridSpec:
         bilinearly at ``points``: vectors of shape (N, 2).
 
         Only the four straddling cells of each point are colocated (eight
-        nodes per component), so a call costs O(N), not a pass over the
-        node arrays; each sample equals ``bilinear_sample`` on the full
-        ``colocate(ex, ey)`` arrays bit for bit."""
+        nodes per component), gathered in one ``colocate_at`` call, so a
+        call costs O(N), not a pass over the node arrays; each sample
+        equals ``bilinear_sample`` on the full ``colocate(ex, ey)`` arrays
+        bit for bit."""
         xc, yc = self.cell_centers()
         both = _bilinear(xc, yc, points,
                          lambda i, j: np.stack(colocate_at(ex, ey, i, j)))

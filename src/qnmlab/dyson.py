@@ -26,7 +26,13 @@ steep 1/R^2 kernel needs below ~10 nm standoffs.
 import numpy as np
 
 from .background import green_b_2d
-from .core import Background, ComplexFrequency, DomainError, contrast_block
+from .core import (
+    Background,
+    ComplexFrequency,
+    DomainError,
+    contrast_block,
+    require_exterior,
+)
 from .solver.modes import ModeField
 
 __all__ = [
@@ -53,15 +59,17 @@ class RegularizedField:
     quadrature consistent with the discrete eigenproblem - against the
     sharp staircase map instead, the self-consistency integral of the mode
     misses by >10% at this contrast.  Results are memoized per (point,
-    frequency); points must lie outside the resonator.  The contrast is
-    evaluated at the requested (real) frequency, not at the eigenfrequency.
+    frequency); points must lie strictly outside the resonator, and one
+    inside or on its surface is refused.  The contrast is evaluated at the
+    requested (real) frequency, not at the eigenfrequency.
 
     The build gathers the source nodes from the contrast block round the
     resonator (:func:`qnmlab.core.contrast_block`), not from the full node
-    arrays.  An evaluation sums the far nodes in one kernel call and the
-    subdivided near nodes in one call per distinct subdivision, then adds
-    the near-node patches to the total one at a time in node order: the
-    result equals a node-by-node loop over the full arrays bit for bit.
+    arrays.  An evaluation makes one kernel call for the far nodes and the
+    sub-points of every subdivided near node together.  It sums the far
+    nodes, averages each near node's sub-points, and adds the near-node
+    patches to the total one at a time in node order: the result equals a
+    node-by-node loop over the full arrays bit for bit.
     """
 
     def __init__(self, mode: ModeField, geometry, material, bg: Background,
@@ -98,29 +106,36 @@ class RegularizedField:
         area = h * h
         d = np.sqrt(np.sum((self._pts - r) ** 2, axis=-1))
         near = d < self.near_factor * h
-        total = np.zeros(2, dtype=complex)
-        far_pts = self._pts[~near]
-        if len(far_pts):
-            g = green_b_2d(r[None, :], far_pts, omega, self.bg)
-            cols = g[np.arange(len(far_pts)), :, self._comp[~near]]
-            total += (cols * self._amp[~near, None]).sum(axis=0) * area
+        far = ~near
+        far_amp, far_comp = self._amp[far], self._comp[far]
         # near nodes: average the steep kernel over each dual patch, split
-        # into n_sub x n_sub sub-points, with the node amplitude held fixed;
-        # one kernel call per distinct n_sub
+        # into n_sub x n_sub sub-points, with the node amplitude held fixed
         pts, amp, comp = self._pts[near], self._amp[near], self._comp[near]
         dist = np.hypot(*(pts - r).T)
         n_sub = np.clip(np.ceil(3.0 * h / np.maximum(dist, 0.25 * h)),
                         self.base_subdiv, self.max_subdiv).astype(int)
-        patch = np.empty((len(pts), 2), dtype=complex)
-        for n in np.unique(n_sub):
-            take = np.flatnonzero(n_sub == n)
+        groups = [(n, np.flatnonzero(n_sub == n)) for n in np.unique(n_sub)]
+        # one kernel call: the far nodes, then each group's sub-points
+        sources = [self._pts[far]]
+        for n, take in groups:
             off = (np.arange(n) + 0.5) / n - 0.5
             sx, sy = np.meshgrid(off * h, off * h, indexing="ij")
-            sub = pts[take, None, :] + np.stack([sx.ravel(), sy.ravel()], axis=-1)
-            g = green_b_2d(r[None, :], sub.reshape(-1, 2), omega, self.bg)
-            g = g.reshape(len(take), n * n, 2, 2)
-            cols = g[np.arange(len(take)), :, :, comp[take]]
+            sub = pts[take, None, :] + np.stack([sx.ravel(), sy.ravel()],
+                                                axis=-1)
+            sources.append(sub.reshape(-1, 2))
+        g = green_b_2d(r[None, :], np.concatenate(sources), omega, self.bg)
+        total = np.zeros(2, dtype=complex)
+        start = len(far_amp)
+        if start:
+            cols = g[np.arange(start), :, far_comp]
+            total += (cols * far_amp[:, None]).sum(axis=0) * area
+        patch = np.empty((len(pts), 2), dtype=complex)
+        for n, take in groups:
+            stop = start + len(take) * n * n
+            gn = g[start:stop].reshape(len(take), n * n, 2, 2)
+            cols = gn[np.arange(len(take)), :, :, comp[take]]
             patch[take] = cols.mean(axis=1) * amp[take, None] * area
+            start = stop
         # added one node at a time in node order, as a running sum, so the
         # rounding does not depend on how the nodes were grouped
         total = np.cumsum(np.concatenate([total[None], patch]), axis=0)[-1]
@@ -130,9 +145,7 @@ class RegularizedField:
     def eval(self, points, omega):
         """F(r, w) at one or more exterior points; shape (N, 2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if np.any(self.geometry.inside(pts)):
-            raise DomainError("regularized field is defined outside the "
-                              "resonator; use the mode itself inside")
+        require_exterior(self.geometry, pts, "regularized-field point")
         out = np.empty((len(pts), 2), dtype=complex)
         for i, r in enumerate(pts):
             key = (r[0], r[1], complex(omega))
@@ -148,8 +161,7 @@ def green_back_1(geometry, material, bg: Background, omega, r1, r2):
     either point are subdivided up to 12 x 12."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    if geometry.inside(r1) or geometry.inside(r2):
-        raise DomainError("evaluation points must lie outside the resonator")
+    require_exterior(geometry, [r1, r2], "evaluation point")
     (bx0, bx1), (by0, by1) = geometry.bounding_box
     h = min(bx1 - bx0, by1 - by0) / 12.0
     nx = max(2, int(round((bx1 - bx0) / h)))

@@ -88,8 +88,7 @@ def mode_green_model(mode, bg) -> GreenModel:
         raise DomainError("mode_green_model expects a normalized mode")
 
     def scat(r1, r2, omega):
-        v1 = mode.value_at([r1])[0]
-        v2 = mode.value_at([r2])[0]
+        v1, v2 = mode.value_at([r1, r2])
         return (lorentzian_prefactor(mode.frequency, omega)
                 * np.outer(v1, v2))
     return GreenModel("f", scat, bg)
@@ -97,8 +96,7 @@ def mode_green_model(mode, bg) -> GreenModel:
 
 def far_green_model(reg: RegularizedField) -> GreenModel:
     def scat(r1, r2, omega):
-        f1 = reg.eval([r1], omega)[0]
-        f2 = reg.eval([r2], omega)[0]
+        f1, f2 = reg.eval([r1, r2], omega)
         return (lorentzian_prefactor(reg.mode.frequency, omega)
                 * np.outer(f1, f2))
     return GreenModel("far", scat, reg.bg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.constants import c as C0
+from scipy.special import hankel1
 
 from qnmlab.background import (
     green_b_2d,
@@ -25,6 +26,34 @@ K = BG.wavenumber(OMEGA)
 def test_coincident_points_raise():
     with pytest.raises(DomainError):
         green_b_2d([0, 0], [0, 0], OMEGA, BG)
+
+
+def test_dyadic_matches_the_hankel_closed_form():
+    # the real-argument J + iY kernel against the complex-argument AMOS
+    # Hankel functions, with scalar_g_2d as the (i/4) H0 term, over kR
+    # from 1e-5 to 1e3 in random directions
+    rng = np.random.default_rng(7)
+    kr = np.logspace(-5, 3, 2001)
+    th = rng.uniform(0.0, 2.0 * np.pi, kr.size)
+    r1 = np.stack([np.cos(th), np.sin(th)], axis=-1) * (kr / K)[:, None]
+    r2 = np.array([40e-9, -15e-9])
+    r1 = r1 + r2
+    got = green_b_2d(r1, r2, OMEGA, BG)
+    d = r1 - r2
+    R = np.sqrt(np.sum(d**2, axis=-1))  # the kernel's own distance
+    uu = (d[:, :, None] * d[:, None, :]) / (R**2)[:, None, None]
+    eye = np.eye(2)
+    h1z = 0.25j * hankel1(1, K * R) / (K * R)
+    want = (OMEGA / C0) ** 2 * ((eye - uu) * scalar_g_2d(K, R)[:, None, None]
+                                + (2 * uu - eye) * h1z[:, None, None])
+    gap = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert gap.max() < 1e-13
+
+
+@pytest.mark.parametrize("omega", [OMEGA + 0j, OMEGA - 1e12j, 0.0, -OMEGA])
+def test_kernel_refuses_complex_and_non_positive_frequencies(omega):
+    with pytest.raises(DomainError, match="real positive frequency"):
+        green_b_2d([10e-9, 0.0], [0.0, 0.0], omega, BG)
 
 
 def test_2d_outgoing_cylindrical_asymptotics():

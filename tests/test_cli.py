@@ -11,7 +11,12 @@ from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.cli import main, run_pipeline
 from qnmlab.config import ConfigError, RunConfig, parse_quantity
 from qnmlab.core import DomainError, QnmError
-from qnmlab.observables import se_from_scattered
+from qnmlab.dyson import RegularizedField
+from qnmlab.observables import (
+    far_green_model,
+    se_enhancement,
+    se_from_scattered,
+)
 from qnmlab.solver import driven_response, fdfd
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
@@ -387,6 +392,30 @@ def test_oracle_rejects_a_dipole_inside_the_rod(paper_cfg, r_a):
         _oracle(paper_cfg, r_a, (0.0, 1.0))
     with pytest.raises(DomainError, match="inside the resonator"):
         cli.oracle_propagator(paper_cfg, r_a, (100e-9, 0.0), ROD_OMEGA)
+
+
+@pytest.mark.parametrize("r", [
+    (5e-9, 0.0),        # the middle of the +x side face
+    (5e-9, 1.25e-9),    # the same face, between E_y nodes
+    (0.0, 40e-9),       # the middle of the +y tip
+    (5e-9, 40e-9),      # the corner
+])
+def test_points_on_the_rod_surface_are_refused(paper_cfg, rod_pipeline, r):
+    # the oracle (as emitter, source or receiver) and the far model refuse
+    # a point on the paper rod's surface before any solve
+    surface = "on the resonator surface"
+    with pytest.raises(DomainError, match=surface):
+        cli.oracle_se(paper_cfg, r, (1.0, 0.0), ROD_OMEGA)
+    with pytest.raises(DomainError, match=surface):
+        cli.oracle_propagator(paper_cfg, r, (100e-9, 0.0), ROD_OMEGA)
+    with pytest.raises(DomainError, match=surface):
+        cli.oracle_propagator(paper_cfg, (100e-9, 0.0), r, ROD_OMEGA)
+    p = rod_pipeline
+    assert p["rod"] == paper_cfg.geometry
+    far = far_green_model(RegularizedField(p["mode"], p["rod"],
+                                           p["material"], p["bg"]))
+    with pytest.raises(DomainError, match=surface):
+        se_enhancement(far, r, (1.0, 0.0), ROD_OMEGA)
 
 
 def test_propagator_oracle_margin_is_converged(paper_cfg, monkeypatch):

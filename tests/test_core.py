@@ -18,6 +18,7 @@ from qnmlab.core import (
     contrast_block,
     interior_fraction,
     lattice_coords,
+    require_exterior,
 )
 
 WP = 1.26e16
@@ -178,6 +179,28 @@ def test_cylinder_and_halfspace_inside():
     plane = SurfacePlane(point=(0, 0), normal=(0, 1))
     assert plane.signed_distance(np.array([3e-9, -1e-9])) < 0
     assert plane.signed_distance(np.array([3e-9, 1e-9])) > 0
+
+
+@pytest.mark.parametrize("geometry, inner, surface, outer", [
+    (Rod2D(width=10e-9, length=80e-9, center=(1e-9, 0.0)),
+     (3e-9, 39e-9), [(6e-9, 0.0), (1e-9, -40e-9), (-4e-9, 40e-9)],
+     (6e-9, 40.1e-9)),
+    (Cylinder2D(radius=30e-9), (0.0, 29e-9), [(30e-9, 0.0), (0.0, -30e-9)],
+     (30e-9, 1e-12)),
+])
+def test_closure_adds_the_surface_to_the_strict_interior(geometry, inner,
+                                                         surface, outer):
+    pts = np.array([inner, *surface, outer])
+    n = len(surface)
+    assert geometry.inside(pts).tolist() == [True] + [False] * (n + 1)
+    assert geometry.in_closure(pts).tolist() == [True] * (n + 1) + [False]
+    require_exterior(geometry, [outer, outer], "probe")
+    with pytest.raises(DomainError, match="probe lies inside the resonator"):
+        require_exterior(geometry, [outer, surface[0], inner], "probe")
+    for r in surface:
+        with pytest.raises(DomainError,
+                           match="probe lies on the resonator surface"):
+            require_exterior(geometry, [outer, r], "probe")
 
 
 def test_nearest_tangent_plane_faces_and_corner():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnmlab import dyson
 from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.core import ConstantMaterial, DomainError, interior_fraction
 from qnmlab.dyson import RegularizedField, green_back_1, lorentzian_prefactor
@@ -238,3 +239,39 @@ def test_asymptotic_amplitude_tracks_background_column(reg, rod_pipeline):
         vals.append(fmag / gmag)
     vals = np.array(vals)
     assert vals.std() / vals.mean() < 0.05
+
+
+@pytest.mark.parametrize("standoff", [2.6e-9, 500e-9])
+def test_an_evaluation_makes_one_kernel_call(rod_pipeline, monkeypatch,
+                                             standoff):
+    # a miss is one kernel call over the far nodes and every near node's
+    # sub-points, whatever the mix of subdivisions; a cache hit makes none
+    p = rod_pipeline
+    omega = _omega_c(p)
+    reg = RegularizedField(p["mode"], p["rod"], p["material"], p["bg"],
+                           base_subdiv=1)
+    r = np.array([5e-9 + standoff, 3.7e-9])
+    h = reg.mode.grid.h
+    d = np.hypot(*(reg._pts - r).T)
+    near = d < reg.near_factor * h
+    n_sub = np.clip(np.ceil(3.0 * h / np.maximum(d[near], 0.25 * h)),
+                    reg.base_subdiv, reg.max_subdiv).astype(int)
+    assert len(set(n_sub)) == (3 if standoff < 10e-9 else 0)
+    calls = []
+
+    def spy(r1, r2, omega, bg):
+        calls.append(len(r2))
+        return green_b_2d(r1, r2, omega, bg)
+    monkeypatch.setattr(dyson, "green_b_2d", spy)
+    first = reg.eval([r], omega)
+    assert calls == [np.sum(~near) + np.sum(n_sub**2)]
+    again = reg.eval([r], omega)
+    assert len(calls) == 1
+    assert again.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("r", [(5e-9, 0.0), (5e-9, 1.25e-9), (0.0, 40e-9),
+                               (5e-9, 40e-9), (-5e-9, -40e-9)])
+def test_surface_points_are_refused(reg, rod_pipeline, r):
+    with pytest.raises(DomainError, match="on the resonator surface"):
+        reg.eval([(100e-9, 0.0), r], _omega_c(rod_pipeline))

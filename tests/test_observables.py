@@ -16,6 +16,7 @@ from qnmlab.observables import (
     se_enhancement,
     se_from_scattered,
 )
+from qnmlab.solver.modes import ModeField
 
 
 def test_purcell_factor_basics():
@@ -165,3 +166,25 @@ def test_out_model_matches_far_at_distance(models, rod_pipeline):
     fo = se_enhancement(models["out"], r_b, (0, 1), omega)
     fa = se_enhancement(models["far"], r_b, (0, 1), omega)
     assert fo == pytest.approx(fa, rel=0.02)
+
+
+@pytest.mark.parametrize("name, cls, attr", [
+    ("f", ModeField, "value_at"),
+    ("far", RegularizedField, "eval"),
+    ("out", RegularizedField, "eval"),
+])
+def test_a_model_reads_both_points_in_one_call(models, rod_pipeline,
+                                               monkeypatch, name, cls, attr):
+    # one value_at / eval call per scattered part, emitter or propagator
+    omega = rod_pipeline["mode"].frequency.omega
+    calls = []
+    read = getattr(cls, attr)
+
+    def spy(self, points, *args):
+        calls.append(len(points))
+        return read(self, points, *args)
+    monkeypatch.setattr(cls, attr, spy)
+    r1, r2 = (31e-9, 7e-9), (83e-9, -2e-9)
+    se_enhancement(models[name], r1, (0, 1), omega)
+    models[name].full(r2, r1, omega + 1e12)
+    assert calls == [2, 2]
