@@ -34,24 +34,13 @@ writes both of its tables by one row rule: F_a of every Green model at
 samples it over frequency at the first dipole, the distance scan over
 standoff on resonance.
 
-With ``oracle.enabled`` the emission, propagator and validate stages add a
-full-wave reference (:func:`oracle_se`, :func:`oracle_propagator`).  Each
-oracle query is one scattered-field solve: the dipole's analytic
-background field drives the resonator's contrast nodes, and one
-factorization of a tight grid round the resonator and the query's points,
-with ``ORACLE_MARGIN`` between each point and the PML, gives the scattered
-field.  The emission oracle samples it at the dipole, so no background
-self-term is subtracted; the propagator oracle adds it, sampled at the
-receiver, to the analytic background term.  The propagator oracle builds
-its grid round the source and one receiver, so a receiver's value does not
-depend on which other receivers are asked.  A dipole or receiver inside
-the resonator or on its surface is refused with a ``DomainError`` that
-says which.  The oracle keeps no state between queries: a query costs one
-factorization whatever its frequency, and its value does not depend on
-the queries before it.  Validate computes nothing: it reads both the far
-model and the oracle at the scan checkpoints from the ``f_a_far`` and
-``f_a_oracle`` columns that the distance scan wrote to ``distance.csv``,
-and loads no mode.
+With ``oracle.enabled`` the emission and propagator stages add a
+full-wave reference: :func:`oracle_se` and :func:`oracle_propagator` read
+the scattered field of one dipole solve (:mod:`qnmlab.solver.oracle`) as
+F_a and as the normalized |G_yy|^2.  Validate computes nothing: it reads
+both the far model and the oracle at the scan checkpoints from the
+``f_a_far`` and ``f_a_oracle`` columns that the distance scan wrote to
+``distance.csv``, and loads no mode.
 
 Identical config and build produce byte-identical CSVs: fixed column
 formats (17 significant digits), fixed reduction orders, no timestamps.
@@ -68,9 +57,8 @@ import sys
 import numpy as np
 from scipy.constants import c as C0
 
-from .background import green_b_2d, im_green_b_diag
 from .config import ConfigError, RunConfig
-from .core import Dipole, GridSpec, QnmError, require_exterior
+from .core import Dipole, QnmError
 from .dyson import RegularizedField
 from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
@@ -79,11 +67,13 @@ from .observables import (
     far_green_model,
     mode_green_model,
     out_green_model,
+    propagator_from_scattered,
     purcell_factor,
     se_enhancement,
     se_from_scattered,
 )
-from .solver import PoleSearch, assemble, find_qnm, load_mode, save_mode
+from .solver import PoleSearch, find_qnm, load_mode, save_mode
+from .solver.oracle import scattered_green
 
 log = logging.getLogger("qnm")
 
@@ -255,64 +245,24 @@ def _columns(cfg, models):
         + (["oracle"] if cfg.oracle_enabled else [])
 
 
-ORACLE_MARGIN = 100e-9
-
-
-def oracle_grid(cfg: RunConfig, positions):
-    """Tight grid round the resonator and the given dipole positions: their
-    bounding box widened by ``ORACLE_MARGIN`` plus the PML, each edge
-    snapped outward to a multiple of h.  So every dipole has
-    ``ORACLE_MARGIN`` between it and the PML, and the nodes sit on the
-    lattice of the symmetric grids (see :func:`qnmlab.core.lattice_coords`).
-    """
-    h = cfg.grid.h
-    pad = ORACLE_MARGIN + cfg.grid.pml_thickness
-    pts = np.reshape(np.asarray(positions, dtype=float), (-1, 2))
-    extent = []
-    for (b0, b1), coords in zip(cfg.geometry.bounding_box, pts.T):
-        lo = min(b0, *coords) - pad
-        hi = max(b1, *coords) + pad
-        extent.append((h * math.floor(lo / h + 1e-9),
-                       h * math.ceil(hi / h - 1e-9)))
-    return GridSpec(extent=tuple(extent), h=h, pml=cfg.grid.pml)
-
-
-def _scattered_field(cfg, r_a, n_a, omega, points):
-    """The oracle's one solve: the tight :func:`oracle_grid` round the
-    resonator and ``points``, factorized once, and the scattered field
-    ``E_s`` of the dipole ``n_a`` at ``r_a``, driven by its analytic
-    background field ``G^B(r, r_a) . n_a`` on the resonator's contrast
-    nodes."""
-    r_a, n_a = np.asarray(r_a, dtype=float), np.asarray(n_a, dtype=float)
-    require_exterior(cfg.geometry, r_a, "dipole position")
-    op = assemble(oracle_grid(cfg, points), cfg.geometry, cfg.material,
-                  cfg.bg, omega)
-    return op, op.solve(op.scattered_rhs(
-        lambda r: green_b_2d(r, r_a, omega, cfg.bg) @ n_a))
-
-
 def oracle_se(cfg: RunConfig, r_a, n_a, omega):
     """Full-wave reference emission rate at ``r_a``: the scattered self
     Green function, a sample of the dipole's own scattered field at
     ``r_a``."""
-    dipole = Dipole(position=tuple(r_a), orientation=n_a)
-    op, e_s = _scattered_field(cfg, dipole.position, dipole.orientation,
-                               omega, [r_a])
-    g_scat = op.sample(e_s, dipole.position, dipole.orientation)
-    return se_from_scattered(g_scat, omega, cfg.bg)
+    d = Dipole(position=tuple(r_a), orientation=n_a)
+    return se_from_scattered(
+        scattered_green(cfg, d.position, d.orientation, d.position,
+                        d.orientation, omega), omega, cfg.bg)
 
 
 def oracle_propagator(cfg: RunConfig, r_a, r_b, omega):
     """Full-wave reference |G_yy(r_b, r_a)|^2, normalized as the models of
     ``propagator.csv``: the analytic background term plus a sample at
-    ``r_b`` of the scattered field of the y-dipole at ``r_a``, solved on
-    the tight grid round the resonator, the source and the receiver."""
-    require_exterior(cfg.geometry, r_b, "receiver")
+    ``r_b`` of the scattered field of the y-dipole at ``r_a``."""
     n_y = (0.0, 1.0)
-    op, e_s = _scattered_field(cfg, r_a, n_y, omega, [r_a, r_b])
-    g = green_b_2d(np.asarray(r_b, dtype=float), np.asarray(r_a, dtype=float),
-                   omega, cfg.bg)[1, 1] + op.sample(e_s, r_b, n_y)
-    return abs(g) ** 2 / im_green_b_diag(omega, cfg.bg) ** 2
+    return propagator_from_scattered(
+        scattered_green(cfg, r_a, n_y, r_b, n_y, omega), r_b, r_a, n_y,
+        omega, cfg.bg)
 
 
 def _face_point(geometry, standoff, axis):
@@ -369,15 +319,15 @@ def stage_propagate(cfg: RunConfig, outdir):
     models = _build_models(cfg, mode)
     omega = mode.frequency.omega
     r_a = _face_point(cfg.geometry, cfg.prop_source_standoff, "x")
-    norm = im_green_b_diag(omega, cfg.bg) ** 2
     n_y = (0.0, 1.0)
     checkpoints = set(cfg.oracle_scan_checkpoints)
     rows = []
     for i, d in enumerate(cfg.prop_distances):
         # every model, then the oracle where asked and NaN elsewhere
         r_b = (r_a[0] + d, r_a[1])
-        vals = [abs(n_y @ m.full(np.asarray(r_b), np.asarray(r_a), omega)
-                    @ n_y) ** 2 / norm for m in models]
+        vals = [propagator_from_scattered(
+            n_y @ m.scattered(np.asarray(r_b), np.asarray(r_a), omega) @ n_y,
+            r_b, r_a, n_y, omega, cfg.bg) for m in models]
         if cfg.oracle_enabled:
             vals.append(oracle_propagator(cfg, r_a, r_b, omega)
                         if i in checkpoints else math.nan)

@@ -441,18 +441,18 @@ class GridSpec:
         (Nx, the cell centers) along x, likewise along y.  E_x nodes sit at
         (xh, yi), E_y nodes at (xi, yh).  Every coordinate array on the
         Yee lattice derives from these."""
-        (x0, x1), (y0, y1) = self.extent
+        (x0, _), (y0, _) = self.extent
         nx, ny = self.n_cells
-        h = self.h
-        return (lattice_coords(x0, nx + 1, h, 0.0),
-                lattice_coords(x0, nx, h, 0.5),
-                lattice_coords(y0, ny + 1, h, 0.0),
-                lattice_coords(y0, ny, h, 0.5))
+        xh, yh = self.cell_centers()
+        return (lattice_coords(x0, nx + 1, self.h, 0.0), xh,
+                lattice_coords(y0, ny + 1, self.h, 0.0), yh)
 
     def cell_centers(self):
         """1D coordinate arrays of cell centers (x then y)."""
-        _, xh, _, yh = self.node_axes()
-        return xh, yh
+        (x0, _), (y0, _) = self.extent
+        nx, ny = self.n_cells
+        return (lattice_coords(x0, nx, self.h, 0.5),
+                lattice_coords(y0, ny, self.h, 0.5))
 
     def cell_mesh(self):
         """Cell-center points, shape (Nx, Ny, 2).  Built on each call: at

@@ -58,10 +58,12 @@ class RegularizedField:
     with (each node carries its dual-cell area h^2).  This keeps the
     quadrature consistent with the discrete eigenproblem - against the
     sharp staircase map instead, the self-consistency integral of the mode
-    misses by >10% at this contrast.  Results are memoized per (point,
-    frequency); points must lie strictly outside the resonator, and one
-    inside or on its surface is refused.  The contrast is evaluated at the
-    requested (real) frequency, not at the eigenfrequency.
+    misses by >10% at this contrast.  The memo keeps the points of the
+    latest :meth:`eval` call only: enough for ``out`` and ``far+born`` to
+    reuse what ``far`` just read.  Points must lie strictly outside the
+    resonator, and one inside or on its surface is refused.  The contrast
+    is evaluated at the requested (real) frequency, not at the
+    eigenfrequency.
 
     The build gathers the source nodes from the contrast block round the
     resonator (:func:`qnmlab.core.contrast_block`), not from the full node
@@ -147,11 +149,14 @@ class RegularizedField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         require_exterior(self.geometry, pts, "regularized-field point")
         out = np.empty((len(pts), 2), dtype=complex)
+        memo = {}
         for i, r in enumerate(pts):
             key = (r[0], r[1], complex(omega))
-            if key not in self._cache:
-                self._cache[key] = self._eval_one(r, omega)
-            out[i] = self._cache[key]
+            if key not in memo:
+                memo[key] = self._cache[key] if key in self._cache \
+                    else self._eval_one(r, omega)
+            out[i] = memo[key]
+        self._cache = memo
         return out
 
 

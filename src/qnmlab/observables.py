@@ -13,7 +13,8 @@ background dyadic plus a named scattered part, built on a normalized mode:
 with F the regularized field and G1^back the first-order Born term of
 :mod:`qnmlab.dyson`.  The quasi-static image term G^qs, which takes over
 within a few nanometers of the metal, mirrors ``r2`` in the tangent plane
-at the surface point nearest ``r1``.
+nearest the midpoint (r1 + r2)/2, one plane for both orders of a pair:
+G^out(r1, r2) = G^out(r2, r1)^T, defined or refused in both orders.
 
 The relative spontaneous-emission rate of a dipole at ``r_a`` with unit
 orientation ``n_a`` is the ratio of imaginary parts
@@ -41,7 +42,7 @@ f(r0) and f(r0)^2 real, eta(w_c) = 1/(1 + (gamma_c/w_c)^2).
 
 import numpy as np
 
-from .background import green_qs, im_green_b_diag
+from .background import green_b_2d, green_qs, im_green_b_diag
 from .core import Background, DomainError
 from .dyson import (
     RegularizedField,
@@ -57,6 +58,7 @@ __all__ = [
     "born_green_model",
     "se_enhancement",
     "se_from_scattered",
+    "propagator_from_scattered",
     "purcell_factor",
     "eta_factor",
 ]
@@ -72,7 +74,6 @@ class GreenModel:
         self.bg = bg
 
     def full(self, r1, r2, omega):
-        from .background import green_b_2d
         r1 = np.asarray(r1, dtype=float)
         r2 = np.asarray(r2, dtype=float)
         if np.array_equal(r1, r2):
@@ -106,7 +107,8 @@ def out_green_model(reg: RegularizedField) -> GreenModel:
     far = far_green_model(reg)
 
     def scat(r1, r2, omega):
-        surface = reg.geometry.nearest_tangent_plane(np.asarray(r1))
+        surface = reg.geometry.nearest_tangent_plane(
+            0.5 * (np.asarray(r1) + np.asarray(r2)))
         return far.scattered(r1, r2, omega) + green_qs(
             r1, r2, omega, reg.material, reg.bg, surface)
     return GreenModel("out", scat, reg.bg)
@@ -126,6 +128,15 @@ def born_green_model(reg: RegularizedField) -> GreenModel:
 def se_from_scattered(scat_nn, omega, bg: Background):
     """F_a from the projected scattered Green value n . G_scat . n."""
     return 1.0 + np.imag(scat_nn) / im_green_b_diag(omega, bg)
+
+
+def propagator_from_scattered(scat_nn, r1, r2, n, omega, bg: Background):
+    """The normalized propagator ``|n . G(r1, r2) . n|^2 / Im{n . G^B . n}^2``
+    of ``propagator.csv`` from the projected scattered value
+    n . G_scat(r1, r2) . n: the analytic background term is added."""
+    n = np.asarray(n, dtype=float)
+    g = n @ green_b_2d(r1, r2, omega, bg) @ n + scat_nn
+    return abs(g) ** 2 / im_green_b_diag(omega, bg) ** 2
 
 
 def se_enhancement(model: GreenModel, r_a, n_a, omega):

@@ -1,6 +1,7 @@
 """Frequency-domain Maxwell solver: operator assembly with its driven
-solve and point sampling, quasinormal-mode pole search, and the analytic
-cylinder series with its exact dipole Green function."""
+solve and point sampling, the full-wave dipole oracle (:mod:`.oracle`),
+quasinormal-mode pole search, and the analytic cylinder series with its
+exact dipole Green function."""
 
 from ..core import bilinear_sample, colocate
 from .fdfd import DiscreteOperator, assemble, curl_cells

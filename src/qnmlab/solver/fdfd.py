@@ -45,13 +45,14 @@ the grid form of the Dyson equation E = E_inc + Int G^B (eps - eps_b) E.
 ``K - K_b`` is nonzero only on the few hundred nodes that hold contrast, so
 ``scattered_rhs`` evaluates the incident field there and nowhere else.
 
-A sample reads a point through one bilinear stencil per component: at most
-4 E_x and 4 E_y nodes round the point, folded back across the mirror
-planes.  A solution vector is sampled by gathering those at most 8 entries
-and summing them in stencil order, never by a dot with a dense weight
-vector: a dense dot is a BLAS call, and where numpy and scipy each load
-their own BLAS it wakes numpy's thread pool, which then spins beside
-SuperLU's own during the next factorization.
+A sample reads a point through the package's one bilinear rule
+(``core._bilinear``) on the E_x (xh, yi) and E_y (xi, yh) node lattices
+of ``GridSpec.node_axes``, each of the at most 8 straddling nodes read
+from the solution vector through the parity fold that ``unpack`` applies
+to whole arrays.  It never forms a dense weight vector: a dense dot is a
+BLAS call, and where numpy and scipy each load their own BLAS it wakes
+numpy's thread pool, which then spins beside SuperLU's own during the
+next factorization.
 
 Mirror-symmetry reduction: for fields with E_y even / E_x odd across x = 0
 and/or y = 0 (the parity of a uniform E_y incident field), the operator
@@ -70,6 +71,7 @@ from ..core import (
     ConvergenceError,
     DomainError,
     GridSpec,
+    _bilinear,
     contrast_block,
 )
 
@@ -300,73 +302,34 @@ class DiscreteOperator:
 
     # -- source and sampling --------------------------------------------------
 
-    def _fold_node(self, i, j, comp):
-        """Map full-lattice node indices into the reduced domain.
-
-        The parity of the target fields is E_x odd / E_y even across both
-        mirror planes.  Index arithmetic: an E_x node at x = (i+1/2) h maps
-        to i' = -i-1, an E_y node at x = i h to i' = -i (and analogously in
-        y with the roles of the half-offsets swapped).
-        """
-        sign = 1.0
-        if self.mirror_x and i < 0:
-            i = -i - 1 if comp == "ex" else -i
-            if comp == "ex":
-                sign = -sign
-        if self.mirror_y and j < 0:
-            j = -j if comp == "ex" else -j - 1
-            if comp == "ex":
-                sign = -sign
-        return i, j, sign
-
-    def _stencil(self, p, comp):
-        """Bilinear stencil (indices, weights) of ``p`` on a node lattice;
-        stencil nodes across a mirror plane fold back with parity signs."""
-        ox, oy = (0.5, 0.0) if comp == "ex" else (0.0, 0.5)
-        x, y = p
-        u = (x - self.rx0) / self.h - ox
-        v = (y - self.ry0) / self.h - oy
-        i0, j0 = int(np.floor(u)), int(np.floor(v))
-        wu, wv = u - i0, v - j0
-        out = []
-        for di, wi in ((0, 1 - wu), (1, wu)):
-            for dj, wj in ((0, 1 - wv), (1, wv)):
-                w = wi * wj
-                if w == 0.0:
-                    continue
-                i, j, sign = self._fold_node(i0 + di, j0 + dj, comp)
-                if comp == "ex" and 0 <= i < self.nx and 1 <= j <= self.ny - 1:
-                    out.append((self._idx_ex(i, j), w * sign))
-                elif comp == "ey" and self._iy0() <= i <= self.nx - 1 \
-                        and 0 <= j < self.ny:
-                    out.append((self._idx_ey(i, j), w * sign))
-        return out
-
-    def _sampling_weights(self, position, orientation):
-        """(index, weight) pairs, E_x stencil then E_y, such that
-        ``sum(w x[i])`` interpolates n . E at a point; an index repeats when
-        two stencil nodes fold onto one across a mirror plane.
-
-        The point must lie in the interior box, where the PML scaling is
-        unity.  A point in the PML, or past the grid where the stencil would
-        drop its nodes, raises ``DomainError``."""
-        (ix0, ix1), (iy0, iy1) = self.grid.interior_box()
-        x, y = position
-        if not (ix0 <= x <= ix1 and iy0 <= y <= iy1):
-            raise DomainError("dipole must lie outside the PML region")
-        out = []
-        for comp, amp in zip(("ex", "ey"), orientation):
-            if amp != 0.0:
-                out += [(idx, amp * wt)
-                        for idx, wt in self._stencil(position, comp)]
-        return out
-
     def sample(self, x, position, orientation):
-        """n . E at a point from a solution vector ``x``: a gather of the at
-        most 8 stencil entries, summed in stencil order.  The point is where
-        a receiving dipole n would sit; it must lie outside the PML."""
-        return sum((wt * x[idx] for idx, wt in
-                    self._sampling_weights(position, orientation)), 0j)
+        """n . E at a point from a solution vector ``x``, where a receiving
+        dipole n would sit: the bilinear rule on each component's node
+        lattice, with the at most 8 straddling nodes read through
+        ``unpack``'s fold.  The point must lie in the interior box, where
+        the PML scaling is unity; a point in the PML or past the grid
+        raises ``DomainError``."""
+        (bx0, bx1), (by0, by1) = self.grid.interior_box()
+        if not (bx0 <= position[0] <= bx1 and by0 <= position[1] <= by1):
+            raise DomainError("dipole must lie outside the PML region")
+        xi, xh, yi, yh = self.grid.node_axes()
+        nx, ny, iy0 = self.nx, self.ny, self._iy0()
+
+        def nodes(is_ex):
+            (ri, fi), (rj, fj) = self._folds(is_ex)
+
+            def corners(i, j):
+                a, b = ri[i], rj[j]
+                # a node on the PEC wall holds no unknown and reads 0
+                on = (b >= 1) & (b < ny) if is_ex else (a >= iy0) & (a < nx)
+                at = (self._idx_ex if is_ex else self._idx_ey)(a, b)
+                v = np.where(on, x[np.where(on, at, 0)], 0)
+                return np.where(fi[i] ^ fj[j], -v, v) if is_ex else v
+            return corners
+
+        e_x = _bilinear(xh, yi, [position], nodes(True))
+        e_y = _bilinear(xi, yh, [position], nodes(False))
+        return (orientation[0] * e_x + orientation[1] * e_y)[0]
 
     def scattered_rhs(self, incident):
         """Right-hand side ``Delta K E_inc`` of the scattered-field solve
@@ -383,27 +346,38 @@ class DiscreteOperator:
 
     # -- field containers ------------------------------------------------------
 
+    def _folds(self, is_ex):
+        """The full node lattice of E_x (``is_ex``) or E_y read on this
+        domain: per axis, the index of each full-grid line among the
+        domain's lines, and whether the line is a mirror image.  A mirrored
+        domain keeps the cells past the mirror plane, and an image line
+        sits as far from the plane on the other side."""
+        folds = []
+        for n, mirrored, half in ((self.nx, self.mirror_x, is_ex),
+                                  (self.ny, self.mirror_y, not is_ex)):
+            o = 0.5 if half else 0.0  # E_x lines are cell centres along x
+            k = np.arange((2 * n if mirrored else n) + (not half)) + o \
+                - (n if mirrored else 0)
+            folds.append(((np.abs(k) - o).astype(int), k < 0))
+        return folds
+
     def unpack(self, x):
         """Split a solution vector into full-grid node arrays (ex, ey).
 
         Arrays include the boundary zeros: ex has shape (Nx, Ny+1), ey has
         (Nx+1, Ny) on the full grid; mirrored halves are reconstructed with
-        the parity signs.
+        the parity signs, E_x odd and E_y even across each mirror plane.
         """
         nx, ny, iy0 = self.nx, self.ny, self._iy0()
         ex = np.zeros((nx, ny + 1), dtype=complex)
         ey = np.zeros((nx + 1, ny), dtype=complex)
         ex[:, 1:ny] = x[:self.n_ex].reshape(nx, ny - 1)
         ey[iy0:nx, :] = x[self.n_ex:].reshape(nx - iy0, ny)
-        if self.mirror_x:
-            # E_x odd in x, E_y even (wall column shared)
-            ex = np.concatenate([-ex[::-1, :], ex], axis=0)
-            ey = np.concatenate([ey[:0:-1, :], ey], axis=0)
-        if self.mirror_y:
-            # E_x odd in y (wall row shared as zeros), E_y even
-            ex = np.concatenate([-ex[:, :0:-1], ex], axis=1)
-            ey = np.concatenate([ey[:, ::-1], ey], axis=1)
-        return ex, ey
+        (i, fi), (j, fj) = self._folds(True)
+        ex = ex[np.ix_(i, j)]
+        np.negative(ex, out=ex, where=fi[:, None] ^ fj[None, :])
+        (i, _), (j, _) = self._folds(False)
+        return ex, ey[np.ix_(i, j)]
 
 
 def assemble(grid: GridSpec, geometry, material, bg: Background, omega,

@@ -17,7 +17,7 @@ from qnmlab.observables import (
     se_enhancement,
     se_from_scattered,
 )
-from qnmlab.solver import driven_response, fdfd
+from qnmlab.solver import driven_response, fdfd, oracle
 from qnmlab.solver.mie import MAX_ORDER, mie_scattered_green
 
 
@@ -372,17 +372,29 @@ def _oracle(cfg, r_a, n_a, omega=ROD_OMEGA):
     ((1.9e-9, -376.7e-9), (-1.0, -0.002)),
 ])
 def test_oracle_answers_dipoles_hundreds_of_nm_out(paper_cfg, r_a, n_a):
-    (ix0, ix1), (iy0, iy1) = cli.oracle_grid(paper_cfg, [r_a]).interior_box()
+    (ix0, ix1), (iy0, iy1) = oracle.oracle_grid(paper_cfg,
+                                                [r_a]).interior_box()
     margin = min(r_a[0] - ix0, ix1 - r_a[0], r_a[1] - iy0, iy1 - r_a[1])
-    assert margin >= cli.ORACLE_MARGIN
+    assert margin >= oracle.ORACLE_MARGIN
     f_a = _oracle(paper_cfg, r_a, n_a)
     assert np.isfinite(f_a) and f_a > 0
+
+
+def test_patching_the_margin_widens_the_oracle_grid(paper_cfg, monkeypatch):
+    # the margin tests below patch the name that oracle_grid reads
+    r_a = (10e-9, 0.0)
+    (x0, x1), (y0, y1) = oracle.oracle_grid(paper_cfg, [r_a]).extent
+    monkeypatch.setattr(oracle, "ORACLE_MARGIN", oracle.ORACLE_MARGIN + 50e-9)
+    (u0, u1), (v0, v1) = oracle.oracle_grid(paper_cfg, [r_a]).extent
+    h = paper_cfg.grid.h
+    for grown in (x0 - u0, u1 - x1, y0 - v0, v1 - y1):
+        assert grown == pytest.approx(50e-9, abs=h)
 
 
 def test_oracle_margin_is_converged(paper_cfg, monkeypatch):
     r_a, n_a = (10e-9, 0.0), (0.0, 1.0)
     f_a = _oracle(paper_cfg, r_a, n_a)
-    monkeypatch.setattr(cli, "ORACLE_MARGIN", cli.ORACLE_MARGIN + 50e-9)
+    monkeypatch.setattr(oracle, "ORACLE_MARGIN", oracle.ORACLE_MARGIN + 50e-9)
     assert f_a == pytest.approx(_oracle(paper_cfg, r_a, n_a), rel=1e-5)
 
 
@@ -427,7 +439,8 @@ def test_propagator_oracle_margin_is_converged(paper_cfg, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = cli.oracle_propagator(paper_cfg, r_a, r_b, omega)
-        monkeypatch.setattr(cli, "ORACLE_MARGIN", cli.ORACLE_MARGIN + 50e-9)
+        monkeypatch.setattr(oracle, "ORACLE_MARGIN",
+                            oracle.ORACLE_MARGIN + 50e-9)
         assert g == pytest.approx(
             cli.oracle_propagator(paper_cfg, r_a, r_b, omega), rel=1e-4)
 

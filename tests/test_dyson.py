@@ -147,6 +147,41 @@ def test_cache_reuse_is_deterministic(reg, rod_pipeline):
     assert np.array_equal(a, b)
 
 
+def test_out_after_far_at_one_point_makes_one_kernel_call(rod_pipeline,
+                                                         monkeypatch):
+    # far reads [r, r]: one evaluation; out then reads the same points
+    # from the memo of that call
+    p = rod_pipeline
+    reg = RegularizedField(p["mode"], p["rod"], p["material"], p["bg"])
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return green_b_2d(*args)
+    monkeypatch.setattr(dyson, "green_b_2d", spy)
+    r, n, omega = (25e-9, 10e-9), (0.0, 1.0), _omega_c(p)
+    se_enhancement(far_green_model(reg), r, n, omega)
+    se_enhancement(out_green_model(reg), r, n, omega)
+    assert len(calls) == 1
+
+
+def test_memo_holds_only_the_latest_call(rod_pipeline):
+    p = rod_pipeline
+    reg = RegularizedField(p["mode"], p["rod"], p["material"], p["bg"])
+    omega = _omega_c(p)
+    points = [(10e-9 + 3e-9 * i, 50e-9) for i in range(100)]
+    for i in range(0, 100, 10):
+        reg.eval(points[i:i + 10], omega)
+    assert len(reg._cache) <= 10
+    # a point repeated inside one call is evaluated once
+    evals = []
+    one = reg._eval_one
+    reg._eval_one = lambda r, w: evals.append(tuple(r)) or one(r, w)
+    reg.eval([points[0], points[1], points[0]], omega)
+    assert evals == [points[0], points[1]]
+    assert len(reg._cache) == 2
+
+
 def test_green_f_symmetric_and_needs_normalized_mode(rod_pipeline):
     p = rod_pipeline
     omega = _omega_c(p)

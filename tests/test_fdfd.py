@@ -20,7 +20,14 @@ from qnmlab.core import (
     interior_fraction,
 )
 from qnmlab import core
-from qnmlab.solver import PoleSearch, assemble, colocate, curl_cells, find_qnm
+from qnmlab.solver import (
+    PoleSearch,
+    assemble,
+    bilinear_sample,
+    colocate,
+    curl_cells,
+    find_qnm,
+)
 from qnmlab.solver import fdfd
 from qnmlab.solver.modes import _uniform_ey
 
@@ -135,18 +142,6 @@ def test_mirror_symmetry_reproduces_full_solve():
         assert np.abs(ex - exf).max() < 1e-8 * scale
 
 
-def _dense_sampling_vector(op, position, orientation):
-    # the dense weight vector that sampling was once built from, kept as
-    # the reference of the stencil gather
-    w = np.zeros(op.n_e)
-    for comp, amp in zip(("ex", "ey"), orientation):
-        if amp == 0.0:
-            continue
-        for idx, wt in op._stencil(position, comp):
-            w[idx] += amp * wt
-    return w
-
-
 def _sampling_rod_operator(symmetry):
     grid = _empty_grid(0.6e-6, 5e-9, pml_cells=16)
     with warnings.catch_warnings():
@@ -155,22 +150,58 @@ def _sampling_rod_operator(symmetry):
                         BG, OMEGA, symmetry=symmetry)
 
 
-# points a fraction of a cell off the mirror planes: their stencils reach
-# across x = 0 and y = 0 and fold back onto the reduced domain
+def _unknowns(op, fx, fy):
+    """The solution vector holding E_x = fx(x, y) and E_y = fy(x, y) at the
+    operator's own nodes: the reduced domain starts at the mirror plane,
+    and the nodes on the PEC wall are not unknowns."""
+    xi, xh, yi, yh = op.grid.node_axes()
+    nx, ny = op.grid.n_cells
+    if op.mirror_x:
+        xi, xh = xi[nx // 2:], xh[nx // 2:]
+    if op.mirror_y:
+        yi, yh = yi[ny // 2:], yh[ny // 2:]
+    iy0 = 0 if op.mirror_x else 1
+    parts = []
+    for f, xs, ys in ((fx, xh, yi[1:op.ny]), (fy, xi[iy0:op.nx], yh)):
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        parts.append(np.broadcast_to(f(x, y), x.shape).ravel())
+    return np.concatenate(parts).astype(complex)
+
+
+# points a fraction of a cell off the mirror planes: their straddling nodes
+# reach across x = 0 and y = 0 and fold back onto the reduced domain
 FOLDING_POINTS = [(1.5e-9, 42.0e-9), (0.0, 1.0e-9), (-2.0e-9, -1.5e-9),
                   (60.3e-9, 0.0)]
 ORIENTATIONS = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
 
 
-@pytest.mark.parametrize("symmetry", ["", "x", "xy"])
-def test_sample_matches_the_dense_dot(symmetry):
+@pytest.mark.parametrize("symmetry", ["", "x", "y", "xy"])
+def test_sample_reproduces_a_bilinear_field(symmetry):
+    # a product of linear factors is bilinear, so the bilinear rule gives
+    # it exactly; across a mirror plane E_x is odd and E_y even.  The same
+    # sample is the rule applied to unpack's full arrays, to the last bit
     op = _sampling_rod_operator(symmetry)
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=op.n_e) + 1j * rng.normal(size=op.n_e)
+    u = 10e-9
+    odd_x, odd_y = ("x" in symmetry), ("y" in symmetry)
+
+    def fx(x, y):
+        return (x / u + (0 if odd_x else 0.7)) \
+            * (y / u + (0 if odd_y else -0.4))
+
+    def fy(x, y):
+        return (1.0 if odd_x else 1.3 + x / u) \
+            * (1.0 if odd_y else 0.8 - y / u)
+
+    x = _unknowns(op, fx, fy)
+    ex, ey = op.unpack(x)
+    xi, xh, yi, yh = op.grid.node_axes()
     for p in FOLDING_POINTS:
         for n in ORIENTATIONS:
-            want = _dense_sampling_vector(op, p, n) @ x
-            assert op.sample(x, p, n) == pytest.approx(want, rel=1e-14)
+            got = op.sample(x, p, n)
+            assert got == pytest.approx(n[0] * fx(*p) + n[1] * fy(*p),
+                                        rel=1e-12, abs=1e-12)
+            assert got == n[0] * bilinear_sample(xh, yi, ex, [p])[0] \
+                + n[1] * bilinear_sample(xi, yh, ey, [p])[0]
 
 
 def test_sampling_a_solution_allocates_only_its_stencil():

@@ -10,6 +10,10 @@ names listed in ``__all__`` are exports, so both are exempt.
 The converse guards deletions: each name in a module's ``__all__`` must be
 bound at the module's top level, and each name a package ``__init__.py``
 imports from a module of the package must be bound there.
+
+A layering rule keeps solver work out of the command line: ``cli.py``
+binds none of the names that assemble a grid or build the oracle's
+incident field.
 """
 
 import ast
@@ -133,3 +137,28 @@ def test_no_stale_exports(path):
                          ids=[str(p.relative_to(SRC)) for p in PACKAGES])
 def test_reexports_exist(path):
     assert missing_reexports(path) == []
+
+
+# cli parses, runs the stages and writes files; the oracle's grid, assembly
+# and incident field live in qnmlab.solver.oracle
+CLI_FORBIDDEN = {"assemble", "green_b_2d", "GridSpec", "oracle_grid",
+                 "ORACLE_MARGIN"}
+
+
+def bound_names(source):
+    """Names a module binds: its imports anywhere and its top-level
+    definitions and assignments."""
+    tree = ast.parse(source)
+    return set(_imported(tree)) | _defined(tree)
+
+
+def test_layering_checker_flags_imports_and_assignments():
+    src = ("from .solver import assemble as assemble\n"
+           "def f():\n    from .core import GridSpec\n"
+           "ORACLE_MARGIN = 1.0\n")
+    assert bound_names(src) & CLI_FORBIDDEN == {"assemble", "GridSpec",
+                                                "ORACLE_MARGIN"}
+
+
+def test_cli_assembles_and_factors_nothing():
+    assert bound_names((SRC / "cli.py").read_text()) & CLI_FORBIDDEN == set()

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.constants import c as C0
 
-from qnmlab.core import Background, ComplexFrequency, DomainError
+from qnmlab.core import (
+    Background,
+    ComplexFrequency,
+    Cylinder2D,
+    DomainError,
+    DrudeModel,
+    GridSpec,
+    PmlSpec,
+)
 from qnmlab.dyson import RegularizedField, lorentzian_prefactor
 from qnmlab.normalize import mode_volume
 from qnmlab.observables import (
@@ -188,3 +196,62 @@ def test_a_model_reads_both_points_in_one_call(models, rod_pipeline,
     se_enhancement(models[name], r1, (0, 1), omega)
     models[name].full(r2, r1, omega + 1e12)
     assert calls == [2, 2]
+
+
+def _cylinder_models():
+    # a synthetic normalized mode round a Drude cylinder: reciprocity is a
+    # property of how each model composes its parts, not of the mode
+    bg = Background(1.5)
+    cyl = Cylinder2D(radius=30e-9)
+    grid = GridSpec(extent=((-300e-9, 300e-9), (-300e-9, 300e-9)), h=5e-9,
+                    pml=PmlSpec(cells=10))
+    rng = np.random.default_rng(7)
+    nx, ny = grid.n_cells
+    ex = rng.normal(size=(nx, ny + 1)) + 1j * rng.normal(size=(nx, ny + 1))
+    ey = rng.normal(size=(nx + 1, ny)) + 1j * rng.normal(size=(nx + 1, ny))
+    mode = ModeField(grid=grid, geometry=cyl, bg=bg, ex=ex, ey=ey,
+                     frequency=ComplexFrequency(2.6e15, 2e14),
+                     norm_state="normalized", norm_value=1.0 + 0j)
+    reg = RegularizedField(mode, cyl, DrudeModel(1.26e16, 7e13), bg)
+    return cyl, {"f": mode_green_model(mode, bg),
+                 "far": far_green_model(reg), "out": out_green_model(reg),
+                 "born": born_green_model(reg)}
+
+
+def _exterior_pairs(geometry, rng, n):
+    (bx0, bx1), (by0, by1) = geometry.bounding_box
+    pts = []
+    while len(pts) < 2 * n:
+        p = rng.uniform((bx0 - 60e-9, by0 - 60e-9), (bx1 + 60e-9, by1 + 60e-9))
+        if not geometry.in_closure(p):
+            pts.append(p)
+    return list(zip(pts[::2], pts[1::2]))
+
+
+@pytest.mark.parametrize("geometry", ["rod", "cylinder"])
+def test_every_model_is_reciprocal_in_both_orders(models, rod_pipeline,
+                                                  geometry):
+    # G(r1, r2) = G(r2, r1)^T, and a pair is defined in both orders or
+    # refused in both
+    if geometry == "rod":
+        shape, table = rod_pipeline["rod"], models
+        omega = rod_pipeline["mode"].frequency.omega
+    else:
+        (shape, table), omega = _cylinder_models(), 2.6e15
+    rng = np.random.default_rng(11)
+    defined = 0
+    for r1, r2 in _exterior_pairs(shape, rng, 8):
+        for name, model in table.items():
+            got = []
+            for a, b in ((r1, r2), (r2, r1)):
+                try:
+                    got.append(model.scattered(a, b, omega))
+                except DomainError:
+                    got.append(None)
+            assert (got[0] is None) == (got[1] is None), (name, r1, r2)
+            if got[0] is not None:
+                defined += 1
+                g12, g21 = got
+                assert np.abs(g12 - g21.T).max() \
+                    <= 1e-12 * np.abs(g12).max(), (name, r1, r2)
+    assert defined > 24
