@@ -104,14 +104,26 @@ def far_green_model(reg: RegularizedField) -> GreenModel:
 
 
 def out_green_model(reg: RegularizedField) -> GreenModel:
+    """Far variant plus the quasi-static image term in the tangent plane
+    nearest the midpoint of the pair; a pair whose midpoint lies inside
+    the resonator has no such plane and is refused, in both orders."""
     far = far_green_model(reg)
 
     def scat(r1, r2, omega):
-        surface = reg.geometry.nearest_tangent_plane(
-            0.5 * (np.asarray(r1) + np.asarray(r2)))
+        try:
+            surface = reg.geometry.nearest_tangent_plane(
+                0.5 * (np.asarray(r1) + np.asarray(r2)))
+        except DomainError:
+            raise DomainError(
+                f"out: the midpoint of {_nm(r1)} and {_nm(r2)} lies inside "
+                f"the resonator, so the pair has no image plane") from None
         return far.scattered(r1, r2, omega) + green_qs(
             r1, r2, omega, reg.material, reg.bg, surface)
     return GreenModel("out", scat, reg.bg)
+
+
+def _nm(r):
+    return "({:.4g}, {:.4g}) nm".format(*(np.asarray(r, dtype=float) * 1e9))
 
 
 def born_green_model(reg: RegularizedField) -> GreenModel:

@@ -54,12 +54,21 @@ BLAS call, and where numpy and scipy each load their own BLAS it wakes
 numpy's thread pool, which then spins beside SuperLU's own during the
 next factorization.
 
-Mirror-symmetry reduction: for fields with E_y even / E_x odd across x = 0
-and/or y = 0 (the parity of a uniform E_y incident field), the operator
-can be restricted to the first quadrant.  The restriction is the
-exact Galerkin projection of the full symmetric operator, so eigenpairs and
-driven solutions coincide with the full-grid ones.
+Mirror-symmetry reduction: on a grid and geometry mirror-symmetric about
+x = 0 and/or y = 0 (:func:`mirror_symmetry`), every field splits into
+parity classes (:func:`parity_classes`), one per choice of E_y even or
+odd across each plane, with E_x of the opposite parity.  Each class is
+solved on the half (quarter) grid past the planes: a component even
+across a plane keeps its nodes on the plane at half multiplicity, an odd
+one vanishes there as on a PEC wall.  The restriction is the exact
+Galerkin projection of the full symmetric operator onto the class, so its
+eigenpairs are the full grid's of that parity, and the driven solves of a
+field's shares in all classes sum to the full-grid solve.  The default
+class, E_y even and E_x odd, is that of a uniform E_y incident field and
+of the fundamental plasmon of a centred rod.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +85,12 @@ from ..core import (
 )
 
 _SPLU_OPTS = dict(SymmetricMode=True, DiagPivotThresh=0.01)
+# SuperLU's supernode relaxation and panel width for the double factors
+# of the driven solves.  Its defaults (10 and 20) suit wider supernodes
+# than a five-point Schur complement has: on the paper rod's oracle grids
+# these give the same fill 15-30 % faster.  The pole search's single
+# factor keeps the defaults, so its iterates keep their last bits
+_SPLU_DRIVEN = dict(relax=2, panel_size=4)
 
 # PML grading: polynomial order of sigma(x) and the nominal normal-incidence
 # reflection it is sized for
@@ -104,6 +119,34 @@ def _stretch_profile(coords, lo, hi, pml_lo, pml_hi, pml, h, n_b, omega):
     return 1.0 + 1j * sigma / omega
 
 
+def _mirror_fault(grid, geometry, axis):
+    """Why ``grid`` and ``geometry`` lack the mirror plane through 0 normal
+    to ``axis`` (0: x = 0, 1: y = 0), or None when both have it."""
+    lo, hi = grid.extent[axis]
+    if abs(lo + hi) > 1e-9 * grid.h or grid.n_cells[axis] % 2:
+        return ("mirror symmetry needs an extent symmetric about 0 with an "
+                "even cell count")
+    if geometry is not None \
+            and not abs(geometry.center[axis]) <= 1e-9 * grid.h:
+        # the reduced operator solves the geometry plus its mirror images
+        return "mirror symmetry needs a geometry centered on the mirror plane"
+    return None
+
+
+def mirror_symmetry(grid, geometry) -> str:
+    """The ``symmetry`` of every mirror plane that ``grid`` and ``geometry``
+    share: "x" for x = 0, "y" for y = 0, so one of "", "x", "y", "xy"."""
+    return "".join(axis for i, axis in enumerate("xy")
+                   if _mirror_fault(grid, geometry, i) is None)
+
+
+def parity_classes(symmetry):
+    """Every ``parity`` of ``symmetry``: E_y even (+1) or odd (-1) across
+    each of its mirror planes, (+1, +1) first.  One class without a plane."""
+    return list(itertools.product(*((1, -1) if axis in symmetry else (1,)
+                                    for axis in "xy")))
+
+
 class DiscreteOperator:
     """Assembled frequency-domain operator ``curl curl - k0^2 eps`` (scaled
     complex-symmetric form) plus everything needed to solve and sample it.
@@ -111,7 +154,8 @@ class DiscreteOperator:
     Not constructed directly; use :func:`assemble`.
     """
 
-    def __init__(self, grid, geometry, material, bg, omega, symmetry=None):
+    def __init__(self, grid, geometry, material, bg, omega, symmetry=None,
+                 parity=(1, 1)):
         self.grid = grid
         self.geometry = geometry
         self.material = material
@@ -120,6 +164,9 @@ class DiscreteOperator:
         self.symmetry = symmetry or ""
         if not set(self.symmetry) <= {"x", "y"}:
             raise DomainError("symmetry must be '', 'x', 'y' or 'xy'")
+        self.parity = tuple(parity)
+        if len(self.parity) != 2 or not set(self.parity) <= {1, -1}:
+            raise DomainError("parity must be a pair of +1 and -1 values")
         self._lu = None
         self._lu32 = None
         self._matrix = None
@@ -134,18 +181,10 @@ class DiscreteOperator:
         nx_full, ny_full = grid.n_cells
         self.mirror_x = "x" in self.symmetry
         self.mirror_y = "y" in self.symmetry
-        for active, lo, hi, n in ((self.mirror_x, x0, x1, nx_full),
-                                  (self.mirror_y, y0, y1, ny_full)):
-            if active and (abs(lo + hi) > 1e-9 * h or n % 2):
-                raise DomainError("mirror symmetry needs an extent symmetric "
-                                  "about 0 with an even cell count")
-        if self.geometry is not None and self.symmetry:
-            # the reduced operator solves the geometry plus its mirror images
-            cx, cy = self.geometry.center
-            if (self.mirror_x and not abs(cx) <= 1e-9 * h) or \
-               (self.mirror_y and not abs(cy) <= 1e-9 * h):
-                raise DomainError("mirror symmetry needs a geometry centered "
-                                  "on the mirror plane")
+        for axis, active in enumerate((self.mirror_x, self.mirror_y)):
+            fault = active and _mirror_fault(grid, self.geometry, axis)
+            if fault:
+                raise DomainError(fault)
         self.h = h
         self.nx = nx_full // 2 if self.mirror_x else nx_full
         self.ny = ny_full // 2 if self.mirror_y else ny_full
@@ -153,6 +192,14 @@ class DiscreteOperator:
         self.ry0 = 0.0 if self.mirror_y else y0
         nx, ny = self.nx, self.ny
         pml = grid.pml
+        # E_y nodes sit on x = 0 and E_x nodes on y = 0.  A component even
+        # across its mirror plane keeps its nodes there, at half the
+        # multiplicity; an odd one vanishes there, as on the PEC wall that
+        # bounds an unmirrored side.  E_x has the opposite parity to E_y
+        px, py = self.parity
+        self._iy0 = 0 if self.mirror_x and px > 0 else 1  # first E_y line
+        self._jx0 = 0 if self.mirror_y and py < 0 else 1  # first E_x line
+        iy0, jx0 = self._iy0, self._jx0
 
         # reduced domains start at the mirror plane (origin): their nodes are
         # the x >= 0 (y >= 0) tail halves of the symmetric full lattice
@@ -173,6 +220,14 @@ class DiscreteOperator:
         sy_h = _stretch_profile(yh, self.ry0, y1, not self.mirror_y, True,
                                 pml, h, n_b, w)
 
+        def mult(n, mirrored, plane):
+            # a node's copies in the full lattice along one axis: itself and
+            # its image across a mirror plane, or itself alone on the plane
+            m = np.full(n, 2.0 if mirrored else 1.0)
+            if plane:
+                m[0] = 1.0
+            return m
+
         # permittivity sampled at each node's own position (staircasing); a
         # node exactly on the material boundary (tangential E there) is
         # weighted by its interior fraction, nonzero only in the block round
@@ -183,15 +238,12 @@ class DiscreteOperator:
         d_eps = 0.0 if geometry is None \
             else self.material.eps(self.omega) - eps_b
         k0sq = (w / C0) ** 2
-        iy0 = self._iy0()
-        mult_c = (2 if self.mirror_x else 1) * (2 if self.mirror_y else 1)
-        mult_ey = np.full(nx - iy0, mult_c, dtype=float)
-        if self.mirror_x:
-            mult_ey[0] = mult_c / 2  # E_y nodes on the mirror line
         # (unknown index, position, Delta K) of the nodes that hold contrast
         dk = [(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0))]
 
-        def eps_nodes(xs, ys, sx, sy, mult, offset):
+        def k_nodes(xs, ys, sx, sy, mx, my, offset):
+            """K on one component's node lattice (xs, ys), mirror
+            multiplicities included."""
             frac = np.zeros((len(xs), len(ys)))
             if geometry is not None:
                 idx, pts, block = contrast_block(xs, ys, geometry, h)
@@ -200,26 +252,26 @@ class DiscreteOperator:
                 i0, j0 = idx[0].start, idx[1].start
                 dk.append((offset + (i + i0) * len(ys) + j + j0, pts[i, j],
                            k0sq * (d_eps * block[i, j]) * sx[i + i0]
-                           * sy[j + j0] * mult[i + i0]))
-            return eps_b + d_eps * frac
+                           * sy[j + j0] * mx[i + i0] * my[j + j0]))
+            eps = eps_b + d_eps * frac
+            return (k0sq * eps * sx[:, None] * sy[None, :] * mx[:, None]
+                    * my[None, :]).ravel()
 
-        self.n_ex = nx * (ny - 1)
+        self.n_ex = nx * (ny - jx0)
         self.n_ey = (nx - iy0) * ny
         self.n_e = self.n_ex + self.n_ey
         self.n_hz = nx * ny
-        eps_x = eps_nodes(xh, yi[1:ny], sx_h, sy_i[1:ny],
-                          np.full(nx, mult_c), 0)        # (nx, ny-1)
-        eps_y = eps_nodes(xi[iy0:nx], yh, sx_i[iy0:nx], sy_h, mult_ey,
-                          self.n_ex)                      # (nx - iy0, ny)
+        self._kdiag = np.concatenate([
+            k_nodes(xh, yi[jx0:ny], sx_h, sy_i[jx0:ny],
+                    mult(nx, self.mirror_x, False),
+                    mult(ny - jx0, self.mirror_y, jx0 == 0), 0),
+            k_nodes(xi[iy0:nx], yh, sx_i[iy0:nx], sy_h,
+                    mult(nx - iy0, self.mirror_x, iy0 == 0),
+                    mult(ny, self.mirror_y, False), self.n_ex)])
         self._dk_idx, self._dk_pts, self._dk = map(np.concatenate, zip(*dk))
 
-        # K diagonal over E nodes (includes mirror multiplicities)
-        kx = k0sq * eps_x * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
-        ky = (k0sq * eps_y * sx_i[iy0:nx, None] * sy_h[None, :]
-              * mult_ey[:, None])
-        self._kdiag = np.concatenate([kx.ravel(), ky.ravel()])
-
         # M diagonal over h_z cells
+        mult_c = (2 if self.mirror_x else 1) * (2 if self.mirror_y else 1)
         self._mdiag = mult_c * np.outer(sx_h, sy_h).ravel()
 
         # B: stretched curl, h_z = B E, written straight in CSR order.  Row
@@ -235,20 +287,17 @@ class DiscreteOperator:
                         axis=-1)
         vals = np.stack(np.broadcast_arrays(inv_syh, -inv_syh, -inv_sxh,
                                             inv_sxh), axis=-1)
-        present = (jj >= 1, jj + 1 <= ny - 1, ii >= iy0, ii + 1 <= nx - 1)
+        present = (jj >= jx0, jj + 1 <= ny - 1, ii >= iy0, ii + 1 <= nx - 1)
         keep = np.stack(np.broadcast_arrays(*present), axis=-1)
         indptr = np.concatenate([[0], np.cumsum(sum(present).ravel())])
         self._b = sp.csr_matrix((vals[keep], cols[keep], indptr),
                                 shape=(self.n_hz, self.n_e))
 
-    def _iy0(self):
-        return 0 if self.mirror_x else 1
-
     def _idx_ex(self, i, j):
-        return i * (self.ny - 1) + (j - 1)
+        return i * (self.ny - self._jx0) + (j - self._jx0)
 
     def _idx_ey(self, i, j):
-        return self.n_ex + (i - self._iy0()) * self.ny + j
+        return self.n_ex + (i - self._iy0) * self.ny + j
 
     # -- linear algebra ------------------------------------------------------
 
@@ -272,7 +321,9 @@ class DiscreteOperator:
         schur = schur.astype(dtype, copy=False)
         try:
             return spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
-                             options=dict(_SPLU_OPTS))
+                             options=dict(_SPLU_OPTS),
+                             **(_SPLU_DRIVEN if dtype == np.complex128
+                                else {}))
         except RuntimeError as exc:
             raise ConvergenceError(f"sparse factorization failed: {exc}")
 
@@ -313,18 +364,19 @@ class DiscreteOperator:
         if not (bx0 <= position[0] <= bx1 and by0 <= position[1] <= by1):
             raise DomainError("dipole must lie outside the PML region")
         xi, xh, yi, yh = self.grid.node_axes()
-        nx, ny, iy0 = self.nx, self.ny, self._iy0()
+        nx, ny, iy0, jx0 = self.nx, self.ny, self._iy0, self._jx0
 
         def nodes(is_ex):
             (ri, fi), (rj, fj) = self._folds(is_ex)
 
             def corners(i, j):
                 a, b = ri[i], rj[j]
-                # a node on the PEC wall holds no unknown and reads 0
-                on = (b >= 1) & (b < ny) if is_ex else (a >= iy0) & (a < nx)
+                # a node on the PEC wall, or where its component is odd
+                # across a mirror plane, holds no unknown and reads 0
+                on = (b >= jx0) & (b < ny) if is_ex else (a >= iy0) & (a < nx)
                 at = (self._idx_ex if is_ex else self._idx_ey)(a, b)
                 v = np.where(on, x[np.where(on, at, 0)], 0)
-                return np.where(fi[i] ^ fj[j], -v, v) if is_ex else v
+                return np.where(fi[i] ^ fj[j], -v, v)
             return corners
 
         e_x = _bilinear(xh, yi, [position], nodes(True))
@@ -335,10 +387,26 @@ class DiscreteOperator:
         """Right-hand side ``Delta K E_inc`` of the scattered-field solve
         ``A E_s = Delta K E_inc``, where ``Delta K = K - K_b`` is nonzero
         only on the nodes that hold contrast.  ``incident(points)`` returns
-        the incident field (N, 2) at those nodes; each node takes its own
-        component.  On a mirror-reduced grid the incident field must have
-        the target parity (E_x odd, E_y even)."""
-        e_inc = incident(self._dk_pts)
+        the incident field (N, 2) at given points; each node takes its own
+        component.  A mirror-reduced operator solves the share of the
+        incident field in its parity class: at each node, the mean of the
+        field over the node's mirror images, each image's component signed
+        by that component's parity across the planes it crosses.  The
+        shares of all :func:`parity_classes` sum to the field, so their
+        solutions sum to the unreduced solve; a field of the class is its
+        own share."""
+        pts = self._dk_pts
+        images = list(itertools.product(
+            *((1.0, -1.0) if m else (1.0,)
+              for m in (self.mirror_x, self.mirror_y))))
+        px, py = self.parity
+        e_inc = 0.0
+        for fx, fy in images:
+            # E_y's sign on the image; E_x has the opposite parity on each
+            # plane the image crosses
+            s_y = (px if fx < 0 else 1) * (py if fy < 0 else 1)
+            e_inc = e_inc + incident(pts * (fx, fy)) * (s_y * fx * fy, s_y)
+        e_inc = e_inc / len(images)
         comp = (self._dk_idx >= self.n_ex).astype(int)  # E_x nodes first
         b = np.zeros(self.n_e, dtype=complex)
         b[self._dk_idx] = self._dk * e_inc[np.arange(len(comp)), comp]
@@ -349,16 +417,19 @@ class DiscreteOperator:
     def _folds(self, is_ex):
         """The full node lattice of E_x (``is_ex``) or E_y read on this
         domain: per axis, the index of each full-grid line among the
-        domain's lines, and whether the line is a mirror image.  A mirrored
-        domain keeps the cells past the mirror plane, and an image line
-        sits as far from the plane on the other side."""
+        domain's lines, and whether the component changes sign there.  A
+        mirrored domain keeps the cells past the mirror plane; an image
+        line sits as far from the plane on the other side and carries the
+        component times its parity across the plane."""
         folds = []
-        for n, mirrored, half in ((self.nx, self.mirror_x, is_ex),
-                                  (self.ny, self.mirror_y, not is_ex)):
+        for n, mirrored, half, p in (
+                (self.nx, self.mirror_x, is_ex, self.parity[0]),
+                (self.ny, self.mirror_y, not is_ex, self.parity[1])):
             o = 0.5 if half else 0.0  # E_x lines are cell centres along x
             k = np.arange((2 * n if mirrored else n) + (not half)) + o \
                 - (n if mirrored else 0)
-            folds.append(((np.abs(k) - o).astype(int), k < 0))
+            odd = (p > 0) == is_ex  # E_y's parity is p, E_x's is -p
+            folds.append(((np.abs(k) - o).astype(int), (k < 0) & odd))
         return folds
 
     def unpack(self, x):
@@ -366,30 +437,37 @@ class DiscreteOperator:
 
         Arrays include the boundary zeros: ex has shape (Nx, Ny+1), ey has
         (Nx+1, Ny) on the full grid; mirrored halves are reconstructed with
-        the parity signs, E_x odd and E_y even across each mirror plane.
+        the signs of the operator's ``parity`` class (E_y's parity across
+        each plane, E_x's the opposite).
         """
-        nx, ny, iy0 = self.nx, self.ny, self._iy0()
+        nx, ny, iy0, jx0 = self.nx, self.ny, self._iy0, self._jx0
         ex = np.zeros((nx, ny + 1), dtype=complex)
         ey = np.zeros((nx + 1, ny), dtype=complex)
-        ex[:, 1:ny] = x[:self.n_ex].reshape(nx, ny - 1)
+        ex[:, jx0:ny] = x[:self.n_ex].reshape(nx, ny - jx0)
         ey[iy0:nx, :] = x[self.n_ex:].reshape(nx - iy0, ny)
-        (i, fi), (j, fj) = self._folds(True)
-        ex = ex[np.ix_(i, j)]
-        np.negative(ex, out=ex, where=fi[:, None] ^ fj[None, :])
-        (i, _), (j, _) = self._folds(False)
-        return ex, ey[np.ix_(i, j)]
+        full = []
+        for a, is_ex in ((ex, True), (ey, False)):
+            (i, fi), (j, fj) = self._folds(is_ex)
+            a = a[np.ix_(i, j)]
+            np.negative(a, out=a, where=fi[:, None] ^ fj[None, :])
+            full.append(a)
+        return tuple(full)
 
 
 def assemble(grid: GridSpec, geometry, material, bg: Background, omega,
-             symmetry=None) -> DiscreteOperator:
+             symmetry=None, parity=(1, 1)) -> DiscreteOperator:
     """Build the discrete frequency-domain operator on ``grid``.
 
     ``omega`` may be complex; the material and the PML stretch factors are
     both evaluated at it.  ``geometry=None`` yields the homogeneous
     background operator.  ``symmetry`` in {"x", "y", "xy"} restricts to the
-    corresponding mirror-reduced problem (E_y even / E_x odd parity).
+    mirror-reduced problem of one parity class: ``parity`` is E_y's parity
+    (+1 even, -1 odd) across x = 0 and across y = 0, and E_x has the
+    opposite one.  The default, E_y even and E_x odd, is the class of a
+    uniform E_y field and of the fundamental plasmon.
     """
-    return DiscreteOperator(grid, geometry, material, bg, omega, symmetry)
+    return DiscreteOperator(grid, geometry, material, bg, omega, symmetry,
+                            parity)
 
 
 def curl_cells(ex, ey, h):

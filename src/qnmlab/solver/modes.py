@@ -174,18 +174,25 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     shifted = assemble(grid, geometry, material, bg, sigma, symmetry)
     x = shifted.sweep(shifted.scattered_rhs(_uniform_ey))
     x = _unit(shifted.sweep(x))
-    omega, res = sigma, _residual(shifted, x)
+    omega = sigma
+    res, ax = _residual(shifted, x)
     iterates, shifts = [sigma], [sigma]
-    op = shifted  # the operator at the current omega
+    op = shifted  # the operator at the current omega; ax = op.apply(x)
+
+    def rayleigh(w):
+        return at_omega if w == omega else np.sum(x * operator(w).apply(x))
+
     for _ in range(search.max_iter):
-        omega_new, _ = secant_root(
-            lambda w: np.sum(x * operator(w).apply(x)), omega,
-            rel_tol=search.rel_tol, basin_radius=basin)
+        # each secant starts at omega, where the held product gives x^T A x;
+        # the product itself is freed before the secant assembles
+        at_omega, ax = np.sum(x * ax), None
+        omega_new, _ = secant_root(rayleigh, omega, rel_tol=search.rel_tol,
+                                   basin_radius=basin)
         iterates.append(omega_new)
         _check_basin(omega_new, sigma, basin, iterates)
         step = abs(omega_new - omega) / abs(omega_new)
         omega, op = omega_new, operator(omega_new)
-        x, res_new = _rii_step(shifted, op, x)
+        x, res_new, ax = _rii_step(shifted, op, x, op.apply(x))
         reshift = step > search.rel_tol and res_new > 0.1 * res
         log.debug("pole search: omega %.12g%+.12gi THz, |step|/|omega| "
                   "%.3e, residual %.3e%s", omega.real / (2 * np.pi * 1e12),
@@ -202,7 +209,7 @@ def find_qnm(grid, geometry, material, bg, search: PoleSearch,
     else:
         raise _exhausted(search.max_iter, sigma, iterates)
     while True:
-        x_new, res_new = _rii_step(shifted, op, x)
+        x_new, res_new, ax = _rii_step(shifted, op, x, ax)
         if not res_new < 0.1 * res:
             break
         x, res = x_new, res_new
@@ -243,16 +250,19 @@ def _unit(x):
 
 
 def _residual(op, x):
-    """Eigen-residual of a unit vector, relative to the operator scale."""
-    return _norm(op.apply(x)) / np.abs(op._kdiag).max()
+    """Eigen-residual of a unit vector, relative to the operator scale,
+    and the product ``op.apply(x)`` it was computed from."""
+    ax = op.apply(x)
+    return _norm(ax) / np.abs(op._kdiag).max(), ax
 
 
-def _rii_step(shifted, op, x):
+def _rii_step(shifted, op, x, ax):
     """One residual inverse iteration step ``x <- x - A(s)^{-1} A(w) x``
-    with the held single-precision factor of ``A(s)``; returns the unit
-    vector and its eigen-residual at ``w``."""
-    x = _unit(x - shifted.sweep(op.apply(x)))
-    return x, _residual(op, x)
+    with the held single-precision factor of ``A(s)``, given ``ax =
+    A(w) x``; returns the unit vector, its eigen-residual at ``w`` and its
+    product with ``A(w)``, which the next step at ``w`` reuses."""
+    x = _unit(x - shifted.sweep(ax))
+    return (x,) + _residual(op, x)
 
 
 # -- mode container -----------------------------------------------------------

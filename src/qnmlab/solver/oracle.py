@@ -5,12 +5,23 @@ A query is one scattered-field solve: the dipole's analytic background
 field drives the resonator's contrast nodes on a tight grid round the
 resonator, the source and the receiver, with ``ORACLE_MARGIN`` between
 each point and the PML.  The grid holds no other point, so a value does
-not depend on which other points are asked, and no state is kept: a
-query costs one factorization whatever its frequency.  A source or
-receiver inside the resonator or on its surface is refused with a
-``DomainError`` that says which.  ``cfg`` is a run config
-(:class:`qnmlab.config.RunConfig`), of which the oracle reads the grid's
-cell size and PML, the geometry, the material and the background.
+not depend on which other points are asked, and no state is kept.
+
+A tight grid is mirror-symmetric about each axis along which every asked
+point lies within the resonator's extent (a side-face emitter of the paper
+rod: y = 0; a tip emitter: x = 0).  About such a plane of a centred
+resonator the solve splits exactly into parity classes on half grids
+(:func:`qnmlab.solver.fdfd.parity_classes`): each class solves its share
+of the incident field, and the class samples sum to the unreduced value.
+A query therefore costs one factorization per class whose share is not
+zero, each of about half the unknowns: two for a dipole off a side face,
+one for a dipole on the axis whose field has one parity (the validate
+stage's y-dipole), and one full-grid factorization for a grid with no
+mirror plane.  A source or receiver inside the resonator or on its
+surface is refused with a ``DomainError`` that says which.  ``cfg`` is a
+run config (:class:`qnmlab.config.RunConfig`), of which the oracle reads
+the grid's cell size and PML, the geometry, the material and the
+background.
 """
 
 import math
@@ -19,7 +30,7 @@ import numpy as np
 
 from ..background import green_b_2d
 from ..core import GridSpec, require_exterior
-from .fdfd import assemble
+from .fdfd import assemble, mirror_symmetry, parity_classes
 
 ORACLE_MARGIN = 100e-9
 
@@ -48,11 +59,22 @@ def scattered_green(cfg, r_a, n_a, r_b, n_b, omega):
     ``n_b``, of the unit dipole ``n_a`` at ``r_a``, driven by its analytic
     background field ``G^B(r, r_a) . n_a`` on the resonator's contrast
     nodes.  The tight :func:`oracle_grid` round the resonator, ``r_a`` and
-    ``r_b`` is assembled, factorized and solved once."""
+    ``r_b`` is solved once per parity class of its mirror planes, and the
+    class samples at ``r_b`` are summed."""
     require_exterior(cfg.geometry, r_a, "dipole position")
     require_exterior(cfg.geometry, r_b, "receiver")
-    op = assemble(oracle_grid(cfg, [r_a, r_b]), cfg.geometry, cfg.material,
-                  cfg.bg, omega)
-    e_s = op.solve(op.scattered_rhs(
-        lambda r: green_b_2d(r, r_a, omega, cfg.bg) @ n_a))
-    return op.sample(e_s, r_b, n_b)
+    grid = oracle_grid(cfg, [r_a, r_b])
+    symmetry = mirror_symmetry(grid, cfg.geometry)
+
+    def incident(r):
+        return green_b_2d(r, r_a, omega, cfg.bg) @ n_a
+
+    def class_sample(parity):
+        # the operator and its factor go with the return, before the next
+        # class assembles
+        op = assemble(grid, cfg.geometry, cfg.material, cfg.bg, omega,
+                      symmetry, parity)
+        b = op.scattered_rhs(incident)
+        return op.sample(op.solve(b), r_b, n_b) if b.any() else 0.0
+
+    return sum(class_sample(parity) for parity in parity_classes(symmetry))

@@ -398,6 +398,49 @@ def test_oracle_margin_is_converged(paper_cfg, monkeypatch):
     assert f_a == pytest.approx(_oracle(paper_cfg, r_a, n_a), rel=1e-5)
 
 
+@pytest.mark.parametrize("r_a, r_b, n, classes", [
+    # off a side face: the grid is symmetric about y = 0, and a tilted
+    # dipole off the axis drives both classes
+    ((15e-9, 20e-9), None, (0.6, 0.8), 2),
+    # the validate stage's y-dipole on the x axis: its field has one parity
+    ((15e-9, 0.0), None, (0.0, 1.0), 1),
+    # a pair on both sides of both planes: four quarter grids
+    ((15e-9, 5e-9), (-15e-9, -20e-9), (0.6, 0.8), 4),
+    # beyond a corner the grid has no mirror plane: one full grid
+    ((100e-9, 100e-9), None, (0.6, 0.8), 0),
+])
+def test_oracle_factors_each_parity_class_on_its_reduced_grid(
+        paper_cfg, monkeypatch, r_a, r_b, n, classes):
+    # a query factors once per class with a nonzero share, each factor of
+    # at most 55 % of the unreduced grid's unknowns, and sums the class
+    # samples to the unreduced solve's value on the same grid
+    r_b = r_a if r_b is None else r_b
+    sizes = []
+    splu = fdfd.spla.splu
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    grid = oracle.oracle_grid(paper_cfg, [r_a, r_b])
+    n_full = int(np.prod(grid.n_cells))
+    monkeypatch.setattr(fdfd.spla, "splu", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = oracle.scattered_green(paper_cfg, r_a, n, r_b, n, ROD_OMEGA)
+        if classes:
+            assert len(sizes) == classes
+            assert max(sizes) <= 0.55 * n_full
+        else:
+            assert sizes == [n_full]
+        op = fdfd.assemble(grid, paper_cfg.geometry, paper_cfg.material,
+                           paper_cfg.bg, ROD_OMEGA)
+        want = op.sample(op.solve(op.scattered_rhs(
+            lambda r: green_b_2d(r, r_a, ROD_OMEGA, paper_cfg.bg) @ n)),
+            r_b, n)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("r_a", [(0.0, 0.0), (2e-9, -30e-9)])
 def test_oracle_rejects_a_dipole_inside_the_rod(paper_cfg, r_a):
     with pytest.raises(DomainError):

@@ -142,27 +142,43 @@ def test_mirror_symmetry_reproduces_full_solve():
         assert np.abs(ex - exf).max() < 1e-8 * scale
 
 
-def _sampling_rod_operator(symmetry):
+# every mirror reduction with each of its parity classes: E_y even across
+# each plane (the ids without "odd"), or odd across x = 0, y = 0 or both
+PARITY_CLASSES = [
+    pytest.param("", (1, 1), id=""),
+    pytest.param("x", (1, 1), id="x"),
+    pytest.param("y", (1, 1), id="y"),
+    pytest.param("xy", (1, 1), id="xy"),
+    pytest.param("x", (-1, 1), id="x-odd"),
+    pytest.param("y", (1, -1), id="y-odd"),
+    pytest.param("xy", (-1, 1), id="xy-odd-x"),
+    pytest.param("xy", (1, -1), id="xy-odd-y"),
+    pytest.param("xy", (-1, -1), id="xy-odd"),
+]
+
+
+def _sampling_rod_operator(symmetry, parity):
     grid = _empty_grid(0.6e-6, 5e-9, pml_cells=16)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return assemble(grid, Rod2D(10e-9, 80e-9), DrudeModel(1.26e16, 7e13),
-                        BG, OMEGA, symmetry=symmetry)
+                        BG, OMEGA, symmetry=symmetry, parity=parity)
 
 
 def _unknowns(op, fx, fy):
     """The solution vector holding E_x = fx(x, y) and E_y = fy(x, y) at the
     operator's own nodes: the reduced domain starts at the mirror plane,
-    and the nodes on the PEC wall are not unknowns."""
+    and the nodes on the PEC wall, or of a component odd across the plane
+    they sit on, are not unknowns."""
     xi, xh, yi, yh = op.grid.node_axes()
     nx, ny = op.grid.n_cells
     if op.mirror_x:
         xi, xh = xi[nx // 2:], xh[nx // 2:]
     if op.mirror_y:
         yi, yh = yi[ny // 2:], yh[ny // 2:]
-    iy0 = 0 if op.mirror_x else 1
     parts = []
-    for f, xs, ys in ((fx, xh, yi[1:op.ny]), (fy, xi[iy0:op.nx], yh)):
+    for f, xs, ys in ((fx, xh, yi[op._jx0:op.ny]),
+                      (fy, xi[op._iy0:op.nx], yh)):
         x, y = np.meshgrid(xs, ys, indexing="ij")
         parts.append(np.broadcast_to(f(x, y), x.shape).ravel())
     return np.concatenate(parts).astype(complex)
@@ -175,22 +191,29 @@ FOLDING_POINTS = [(1.5e-9, 42.0e-9), (0.0, 1.0e-9), (-2.0e-9, -1.5e-9),
 ORIENTATIONS = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0)]
 
 
-@pytest.mark.parametrize("symmetry", ["", "x", "y", "xy"])
-def test_sample_reproduces_a_bilinear_field(symmetry):
+@pytest.mark.parametrize("symmetry, parity", PARITY_CLASSES)
+def test_sample_reproduces_a_bilinear_field(symmetry, parity):
     # a product of linear factors is bilinear, so the bilinear rule gives
-    # it exactly; across a mirror plane E_x is odd and E_y even.  The same
-    # sample is the rule applied to unpack's full arrays, to the last bit
-    op = _sampling_rod_operator(symmetry)
+    # it exactly; across a mirror plane E_y has the class's parity and E_x
+    # the opposite one.  The same sample is the rule applied to unpack's
+    # full arrays, to the last bit
+    op = _sampling_rod_operator(symmetry, parity)
     u = 10e-9
-    odd_x, odd_y = ("x" in symmetry), ("y" in symmetry)
+    px, py = parity
+
+    def factor(t, mirrored, odd, c, slope=1.0):
+        # linear in t; across a mirror plane odd (t) or even (constant)
+        if not mirrored:
+            return c + slope * t / u
+        return t / u if odd else 1.0
 
     def fx(x, y):
-        return (x / u + (0 if odd_x else 0.7)) \
-            * (y / u + (0 if odd_y else -0.4))
+        return factor(x, op.mirror_x, px > 0, 0.7) \
+            * factor(y, op.mirror_y, py > 0, -0.4)
 
     def fy(x, y):
-        return (1.0 if odd_x else 1.3 + x / u) \
-            * (1.0 if odd_y else 0.8 - y / u)
+        return factor(x, op.mirror_x, px < 0, 1.3) \
+            * factor(y, op.mirror_y, py < 0, 0.8, -1.0)
 
     x = _unknowns(op, fx, fy)
     ex, ey = op.unpack(x)
@@ -202,6 +225,52 @@ def test_sample_reproduces_a_bilinear_field(symmetry):
                                         rel=1e-12, abs=1e-12)
             assert got == n[0] * bilinear_sample(xh, yi, ex, [p])[0] \
                 + n[1] * bilinear_sample(xi, yh, ey, [p])[0]
+
+
+@pytest.mark.parametrize("geometry", [Rod2D(10e-9, 80e-9), Cylinder2D(30e-9)],
+                         ids=["rod", "cylinder"])
+def test_parity_classes_sum_to_the_unreduced_solve(geometry):
+    # dipoles of random orientation on both sides of both mirror planes,
+    # round the paper-size rod and the 30 nm Drude cylinder: their fields
+    # have no parity, and the solves of their shares in the classes of a
+    # reduction sum to the unreduced solve on the same grid
+    rng = np.random.default_rng(20)
+    grid = _empty_grid(0.5e-6, 2.5e-9, pml_cells=16)
+    mat = DrudeModel(1.26e16, 7e13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ops = {sym: [assemble(grid, geometry, mat, BG, OMEGA, sym, parity)
+                     for parity in fdfd.parity_classes(sym)]
+               for sym in ("", "x", "y", "xy")}
+    assert [len(v) for v in ops.values()] == [1, 2, 2, 4]
+    signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    for sx, sy in signs:
+        while True:
+            r_a = rng.uniform(1e-9, 120e-9, 2) * (sx, sy)
+            if not geometry.in_closure(r_a):
+                break
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        n_a = np.array([np.cos(th), np.sin(th)])
+
+        def incident(r):
+            return green_b_2d(r, r_a, OMEGA, BG) @ n_a
+
+        receivers = [r_a * (fx, fy) for fx, fy in signs]
+        fields, samples = {}, {}
+        for sym, classes in ops.items():
+            parts = [(op, op.solve(op.scattered_rhs(incident)))
+                     for op in classes]
+            fields[sym] = [sum(op.unpack(x)[c] for op, x in parts)
+                           for c in (0, 1)]
+            samples[sym] = [sum(op.sample(x, r, n_a) for op, x in parts)
+                            for r in receivers]
+        ex, ey = fields[""]
+        scale = max(np.abs(ex).max(), np.abs(ey).max())
+        for sym in ("x", "y", "xy"):
+            for got, want in zip(fields[sym], fields[""]):
+                assert np.abs(got - want).max() < 1e-10 * scale, sym
+            np.testing.assert_allclose(samples[sym], samples[""], rtol=1e-10,
+                                       err_msg=sym)
 
 
 def test_sampling_a_solution_allocates_only_its_stencil():
@@ -279,7 +348,7 @@ def _reference_arrays(op):
     K - K_b.  Returns (b, kdiag, mdiag, fractions, dk)."""
     grid, h, w = op.grid, op.h, op.omega
     (_, x1), (_, y1) = grid.extent
-    nx, ny, iy0 = op.nx, op.ny, op._iy0()
+    nx, ny, iy0, jx0 = op.nx, op.ny, op._iy0, op._jx0
     nx_full, ny_full = grid.n_cells
     xi, xh, yi, yh = grid.node_axes()
     if op.mirror_x:
@@ -305,19 +374,24 @@ def _reference_arrays(op):
         fracs.append(interior_fraction(inside, pts, h))
         return eps_b + (eps_mnp - eps_b) * fracs[-1]
 
-    eps_x = eps_nodes(xh, yi[1:ny])
+    eps_x = eps_nodes(xh, yi[jx0:ny])
     eps_y = eps_nodes(xi[iy0:nx], yh)
     k0sq = (w / 299792458.0) ** 2
     mult_c = (2 if op.mirror_x else 1) * (2 if op.mirror_y else 1)
-    kx = k0sq * eps_x * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
+    # nodes on a mirror plane count once, their neighbours twice
+    mult_ex = np.full(ny - jx0, mult_c, dtype=float)
+    if jx0 == 0:
+        mult_ex[0] = mult_c / 2
+    kx = k0sq * eps_x * sx_h[:, None] * sy_i[None, jx0:ny] * mult_ex[None, :]
     mult_ey = np.full(nx - iy0, mult_c, dtype=float)
-    if op.mirror_x:
+    if iy0 == 0:
         mult_ey[0] = mult_c / 2
     ky = k0sq * eps_y * sx_i[iy0:nx, None] * sy_h[None, :] * mult_ey[:, None]
     kdiag = np.concatenate([kx.ravel(), ky.ravel()])
     mdiag = mult_c * np.outer(sx_h, sy_h).ravel()
     d_eps = eps_mnp - eps_b
-    dkx = k0sq * (d_eps * fracs[0]) * sx_h[:, None] * sy_i[None, 1:ny] * mult_c
+    dkx = (k0sq * (d_eps * fracs[0]) * sx_h[:, None] * sy_i[None, jx0:ny]
+           * mult_ex[None, :])
     dky = (k0sq * (d_eps * fracs[1]) * sx_i[iy0:nx, None] * sy_h[None, :]
            * mult_ey[:, None])
     dk = np.concatenate([dkx.ravel(), dky.ravel()])
@@ -338,7 +412,7 @@ def _reference_arrays(op):
     add(m, op._idx_ey(ii[m], jj[m]), -inv_sxh)
     m = (jj + 1) <= ny - 1
     add(m, op._idx_ex(ii[m], jj[m] + 1), -inv_syh)
-    m = jj >= 1
+    m = jj >= jx0
     add(m, op._idx_ex(ii[m], jj[m]), inv_syh)
     b = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -346,21 +420,21 @@ def _reference_arrays(op):
     return b, kdiag, mdiag, fracs, dk
 
 
-@pytest.mark.parametrize("symmetry", ["", "x", "y", "xy"])
+@pytest.mark.parametrize("symmetry, parity", PARITY_CLASSES)
 @pytest.mark.parametrize("geometry", [None, Rod2D(40e-9, 160e-9),
                                       Cylinder2D(95e-9)],
                          ids=["empty", "rod", "cylinder"])
 @pytest.mark.parametrize("omega", [OMEGA, OMEGA * (1 - 0.08j)],
                          ids=["real", "complex"])
 def test_assembly_is_bit_identical_to_the_full_lattice_build(
-        symmetry, geometry, omega):
+        symmetry, parity, geometry, omega):
     # h = 10 nm puts the rod's faces on node lines, so its face nodes take
     # the interior fraction 1/4
     grid = _empty_grid(0.6e-6, 10e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         op = assemble(grid, geometry, DrudeModel(1.26e16, 7e13), BG, omega,
-                      symmetry=symmetry)
+                      symmetry=symmetry, parity=parity)
     b, kdiag, mdiag, fracs, dk = _reference_arrays(op)
     if isinstance(geometry, Rod2D):
         assert any(np.any(f == 0.25) for f in fracs)
@@ -372,9 +446,18 @@ def test_assembly_is_bit_identical_to_the_full_lattice_build(
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     # the scattered-field source: K - K_b on the contrast nodes, 0 elsewhere
-    # (equal values; the dense product leaves signed zeros off the resonator)
-    assert np.array_equal(op.scattered_rhs(lambda r: np.ones((len(r), 2))),
-                          dk)
+    # (equal values; the dense product leaves signed zeros off the
+    # resonator), for a field of +-1 whose share in the class is 1
+    px, py = parity
+
+    def unit(pts):
+        flip_x = op.mirror_x & (pts[:, 0] < 0)
+        flip_y = op.mirror_y & (pts[:, 1] < 0)
+        e_y = np.where(flip_x, px, 1) * np.where(flip_y, py, 1)
+        e_x = np.where(flip_x, -px, 1) * np.where(flip_y, -py, 1)
+        return np.stack([e_x, e_y], axis=-1).astype(float)
+
+    assert np.array_equal(op.scattered_rhs(unit), dk)
 
 
 def test_assembly_probes_only_the_nodes_near_the_resonator(monkeypatch):

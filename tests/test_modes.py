@@ -228,6 +228,42 @@ def test_pole_search_assembles_each_frequency_once(monkeypatch):
     assert set(mode.pole_iterates) <= set(omegas)
 
 
+def test_pole_search_makes_each_product_once(monkeypatch):
+    # the eigen-residual's product A(w) x is the next use of A(w) x: a
+    # secant starts from it and a refine step at the found pole takes it
+    # as input, so a refine step makes one product and no product of one
+    # operator and one vector is made twice
+    from qnmlab.solver import modes
+    events, products = [], []
+    apply, sweep, secant = (DiscreteOperator.apply, DiscreteOperator.sweep,
+                            modes.secant_root)
+
+    def spy_apply(self, x):
+        events.append("apply")
+        products.append((self.omega, hash(x.tobytes())))
+        return apply(self, x)
+
+    def spy_sweep(self, b):
+        events.append("sweep")
+        return sweep(self, b)
+
+    def spy_secant(*args, **kwargs):
+        root = secant(*args, **kwargs)
+        events.append("secant")
+        return root
+
+    monkeypatch.setattr(DiscreteOperator, "apply", spy_apply)
+    monkeypatch.setattr(DiscreteOperator, "sweep", spy_sweep)
+    monkeypatch.setattr(modes, "secant_root", spy_secant)
+    _find_rod()
+    assert len(products) == len(set(products))
+    # after the last secant: the last outer step, then the refine steps
+    tail = events[len(events) - events[::-1].index("secant"):]
+    assert tail[:3] == ["apply", "sweep", "apply"]
+    refine = tail[3:]
+    assert refine and refine == ["sweep", "apply"] * (len(refine) // 2)
+
+
 def test_far_guess_reshifts_once_and_finds_the_near_guess_pole(factors,
                                                                caplog):
     made, alive_before, _ = factors

@@ -198,6 +198,18 @@ def test_a_model_reads_both_points_in_one_call(models, rod_pipeline,
     assert calls == [2, 2]
 
 
+def test_out_names_the_pair_it_refuses(models, rod_pipeline):
+    # a pair whose midpoint lies inside the rod has no image plane: out
+    # says so, with both points, in both orders
+    omega = rod_pipeline["mode"].frequency.omega
+    r1, r2 = (-10e-9, 0.0), (10e-9, 0.0)
+    for a, b in ((r1, r2), (r2, r1)):
+        with pytest.raises(DomainError, match=r"^out: ") as caught:
+            models["out"].scattered(a, b, omega)
+        message = str(caught.value)
+        assert "(-10, 0) nm" in message and "(10, 0) nm" in message
+
+
 def _cylinder_models():
     # a synthetic normalized mode round a Drude cylinder: reciprocity is a
     # property of how each model composes its parts, not of the mode
