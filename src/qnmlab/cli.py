@@ -29,10 +29,11 @@ run: its ``grid.h`` is the only cell size, and a stage that reads
 background (exit 1).
 
 The stages run one after another in one thread.  The emission stage
-writes both of its tables by one row rule: F_a of every Green model at
-(r, n, w), then the oracle where asked and NaN elsewhere.  The spectrum
-samples it over frequency at the first dipole, the distance scan over
-standoff on resonance.
+writes both of its tables by one row rule: F_a of the Green models ``f``,
+``far`` and ``out``, in that order, at (r, n, w), then the oracle where
+asked and NaN elsewhere.  The spectrum samples it over frequency at the
+first dipole, the distance scan over standoff on resonance; the
+propagator table has the same columns.
 
 With ``oracle.enabled`` the emission and propagator stages add a
 full-wave reference: :func:`oracle_se` and :func:`oracle_propagator` read
@@ -62,7 +63,6 @@ from .core import Dipole, QnmError
 from .dyson import RegularizedField
 from .normalize import caustic_radius, mode_volume, norm_scan, normalize_mode
 from .observables import (
-    born_green_model,
     eta_factor,
     far_green_model,
     mode_green_model,
@@ -230,13 +230,8 @@ def stage_modevol(cfg: RunConfig, outdir):
 
 def _build_models(cfg, mode):
     reg = RegularizedField(mode, cfg.geometry, cfg.material, cfg.bg)
-    table = {
-        "f": lambda: mode_green_model(mode, cfg.bg),
-        "far": lambda: far_green_model(reg),
-        "out": lambda: out_green_model(reg),
-        "far+born": lambda: born_green_model(reg),
-    }
-    return [table[name]() for name in cfg.variants]
+    return [mode_green_model(mode, cfg.bg), far_green_model(reg),
+            out_green_model(reg)]
 
 
 def _columns(cfg, models):

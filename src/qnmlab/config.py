@@ -12,7 +12,10 @@ no resonator and is refused, like any value without a meaningful run,
 before a stage solves or deletes anything.  The artifacts of an accepted
 run follow from the config alone: ``mode.field``, ``modevol.csv`` and
 ``report.json`` always, ``spectrum.csv`` and ``distance.csv`` when dipoles
-are configured, ``propagator.csv`` when a propagator source is.
+are configured, ``propagator.csv`` when a propagator source is.  Their
+columns do too: every run writes the three Green models ``f``, ``far``
+and ``out``, and ``oracle.enabled`` adds the oracle's column; no key
+selects models.
 """
 
 import json
@@ -132,7 +135,7 @@ class RunConfig:
 
     TOP_KEYS = {"geometry", "material", "background", "grid", "pole_search",
                 "normalization", "dipoles", "spectrum", "distance_scan",
-                "propagator", "variants", "oracle"}
+                "propagator", "oracle"}
 
     def __init__(self, data: dict):
         try:
@@ -219,11 +222,6 @@ class RunConfig:
             parse_quantity(v, "length", "propagator.distances")
             for v in prop.get("distances", [])]
 
-        self.variants = list(data.get("variants", ["f", "far", "out"]))
-        for v in self.variants:
-            if v not in ("f", "far", "out", "far+born"):
-                raise ConfigError(f"unknown variant {v!r}")
-
         oracle = data.get("oracle", {})
         _check_keys(oracle, {"enabled", "spectrum_stride",
                              "scan_checkpoints"}, "oracle")
@@ -231,9 +229,6 @@ class RunConfig:
         self.oracle_spectrum_stride = int(oracle.get("spectrum_stride", 4))
         self.oracle_scan_checkpoints = [
             int(i) for i in oracle.get("scan_checkpoints", [])]
-        if self.oracle_enabled and "far" not in self.variants:
-            # validate compares the scan's f_a_far column with the oracle
-            raise ConfigError("oracle.enabled needs the 'far' variant")
         for where, ok in checks + [
                 ("geometry.center", len(self.geometry.center) == 2),
                 ("pole_search.rel_tol", 0 < self.pole_rel_tol < np.inf),

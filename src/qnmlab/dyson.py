@@ -1,4 +1,4 @@
-"""The regularized mode field F(r, w) and the first-order Born term.
+"""The regularized mode field F(r, w).
 
 A quasinormal mode diverges far from the resonator, so propagating it with
 the bare single-mode Green function fails beyond the caustic radius.
@@ -8,19 +8,14 @@ cross-section,
     F(r, w) = Int_V G^B(r, r'; w) . (eps(w) - eps_b) f(r') dA',
 
 yields a field with the same near profile that decays like a radiating
-source.  The first-order scattering correction
+source.  The single-mode Green functions built from it (G^f, G^far and
+G^out) live in :mod:`qnmlab.observables`, whose ``GreenModel`` is the
+package's one Green-function API.
 
-    G1^back(r1, r2; w) = Int_V G^B(r1, r') . (eps - eps_b) G^B(r', r2) dA'
-
-is provided for comparison; it is the perturbative counterpart of the
-quasi-static image term.  The single-mode Green functions built from these
-pieces (G^f, G^far, G^out and far+born) live in :mod:`qnmlab.observables`,
-whose ``GreenModel`` is the package's one Green-function API.
-
-All quadratures ride the same staircased cell map as the normalization, so
-quadrature errors partially cancel in ratios; cells close to an evaluation
-point are subdivided with the field interpolated bilinearly, which the
-steep 1/R^2 kernel needs below ~10 nm standoffs.
+The quadrature rides the interior-fraction permittivity map the operator
+was assembled with, so quadrature errors partially cancel in ratios; nodes
+close to an evaluation point are subdivided with the node amplitude held
+fixed, which the steep 1/R^2 kernel needs below ~10 nm standoffs.
 """
 
 import numpy as np
@@ -38,7 +33,6 @@ from .solver.modes import ModeField
 __all__ = [
     "RegularizedField",
     "lorentzian_prefactor",
-    "green_back_1",
 ]
 
 
@@ -59,10 +53,10 @@ class RegularizedField:
     quadrature consistent with the discrete eigenproblem - against the
     sharp staircase map instead, the self-consistency integral of the mode
     misses by >10% at this contrast.  The memo keeps the points of the
-    latest :meth:`eval` call only: enough for ``out`` and ``far+born`` to
-    reuse what ``far`` just read.  Points must lie strictly outside the
-    resonator, and one inside or on its surface is refused.  The contrast
-    is evaluated at the requested (real) frequency, not at the
+    latest :meth:`eval` call only: enough for ``out`` to reuse what
+    ``far`` just read.  Points must lie strictly outside the resonator,
+    and one inside or on its surface is refused.  The contrast is
+    evaluated at the requested (real) frequency, not at the
     eigenfrequency.
 
     The build gathers the source nodes from the contrast block round the
@@ -159,42 +153,3 @@ class RegularizedField:
         self._cache = memo
         return out
 
-
-def green_back_1(geometry, material, bg: Background, omega, r1, r2):
-    """First-order scattering correction by quadrature over the resonator,
-    on cells of a twelfth of its smallest feature; cells within 12 cells of
-    either point are subdivided up to 12 x 12."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    require_exterior(geometry, [r1, r2], "evaluation point")
-    (bx0, bx1), (by0, by1) = geometry.bounding_box
-    h = min(bx1 - bx0, by1 - by0) / 12.0
-    nx = max(2, int(round((bx1 - bx0) / h)))
-    ny = max(2, int(round((by1 - by0) / h)))
-    hx = (bx1 - bx0) / nx
-    hy = (by1 - by0) / ny
-    xs = bx0 + (np.arange(nx) + 0.5) * hx
-    ys = by0 + (np.arange(ny) + 0.5) * hy
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    cells = pts[geometry.inside(pts)]
-    delta_eps = material.eps(omega) - bg.eps_b
-    area = hx * hy
-    total = np.zeros((2, 2), dtype=complex)
-    d1 = np.sqrt(np.sum((cells - r1) ** 2, axis=-1))
-    d2 = np.sqrt(np.sum((cells - r2) ** 2, axis=-1))
-    near = np.minimum(d1, d2) < 12.0 * max(hx, hy)
-    far_cells = cells[~near]
-    if len(far_cells):
-        ga = green_b_2d(r1[None, :], far_cells, omega, bg)
-        gb = green_b_2d(far_cells, r2[None, :], omega, bg)
-        total += np.einsum("mij,mjk->ik", ga, gb) * area
-    for c in cells[near]:
-        dist = max(min(np.hypot(*(c - r1)), np.hypot(*(c - r2))), 0.25 * h)
-        n_sub = int(np.clip(np.ceil(3.0 * h / dist), 2, 12))
-        off = (np.arange(n_sub) + 0.5) / n_sub - 0.5
-        sx, sy = np.meshgrid(off * hx, off * hy, indexing="ij")
-        sub = c + np.stack([sx.ravel(), sy.ravel()], axis=-1)
-        ga = green_b_2d(r1[None, :], sub, omega, bg)
-        gb = green_b_2d(sub, r2[None, :], omega, bg)
-        total += np.einsum("mij,mjk->ik", ga, gb) * (area / n_sub**2)
-    return delta_eps * total

@@ -5,16 +5,15 @@ deviation factor.
 ``GreenModel`` is the package's one Green-function API.  Each model is the
 background dyadic plus a named scattered part, built on a normalized mode:
 
-    f        G^f   = G^B + w^2 / (2 w_t (w_t - w)) f(r1) f(r2)
-    far      G^far = G^B + w^2 / (2 w_t (w_t - w)) F(r1, w) F(r2, w)
-    out      G^out = G^far + G^qs
-    far+born G^far + G1^back
+    f     G^f   = G^B + w^2 / (2 w_t (w_t - w)) f(r1) f(r2)
+    far   G^far = G^B + w^2 / (2 w_t (w_t - w)) F(r1, w) F(r2, w)
+    out   G^out = G^far + G^qs
 
-with F the regularized field and G1^back the first-order Born term of
-:mod:`qnmlab.dyson`.  The quasi-static image term G^qs, which takes over
-within a few nanometers of the metal, mirrors ``r2`` in the tangent plane
-nearest the midpoint (r1 + r2)/2, one plane for both orders of a pair:
-G^out(r1, r2) = G^out(r2, r1)^T, defined or refused in both orders.
+with F the regularized field of :mod:`qnmlab.dyson`.  The quasi-static
+image term G^qs, which takes over within a few nanometers of the metal,
+mirrors ``r2`` in the tangent plane nearest the midpoint (r1 + r2)/2, one
+plane for both orders of a pair: G^out(r1, r2) = G^out(r2, r1)^T, defined
+or refused in both orders.
 
 The relative spontaneous-emission rate of a dipole at ``r_a`` with unit
 orientation ``n_a`` is the ratio of imaginary parts
@@ -44,18 +43,13 @@ import numpy as np
 
 from .background import green_b_2d, green_qs, im_green_b_diag
 from .core import Background, DomainError
-from .dyson import (
-    RegularizedField,
-    green_back_1,
-    lorentzian_prefactor,
-)
+from .dyson import RegularizedField, lorentzian_prefactor
 
 __all__ = [
     "GreenModel",
     "mode_green_model",
     "far_green_model",
     "out_green_model",
-    "born_green_model",
     "se_enhancement",
     "se_from_scattered",
     "propagator_from_scattered",
@@ -84,7 +78,7 @@ class GreenModel:
 
 
 def mode_green_model(mode, bg) -> GreenModel:
-    """Bare-mode variant: the diverging field itself in the outer product."""
+    """Bare-mode model: the diverging field itself in the outer product."""
     if mode.norm_state != "normalized":
         raise DomainError("mode_green_model expects a normalized mode")
 
@@ -104,9 +98,11 @@ def far_green_model(reg: RegularizedField) -> GreenModel:
 
 
 def out_green_model(reg: RegularizedField) -> GreenModel:
-    """Far variant plus the quasi-static image term in the tangent plane
-    nearest the midpoint of the pair; a pair whose midpoint lies inside
-    the resonator has no such plane and is refused, in both orders."""
+    """The far model plus the quasi-static image term in the tangent plane
+    nearest the midpoint of the pair.  A pair whose midpoint lies inside
+    the resonator has no such plane, and a pair that the plane does not
+    keep strictly on its background side has no image term: both are
+    refused, in both orders."""
     far = far_green_model(reg)
 
     def scat(r1, r2, omega):
@@ -117,24 +113,20 @@ def out_green_model(reg: RegularizedField) -> GreenModel:
             raise DomainError(
                 f"out: the midpoint of {_nm(r1)} and {_nm(r2)} lies inside "
                 f"the resonator, so the pair has no image plane") from None
-        return far.scattered(r1, r2, omega) + green_qs(
-            r1, r2, omega, reg.material, reg.bg, surface)
+        scat_far = far.scattered(r1, r2, omega)
+        try:
+            image = green_qs(r1, r2, omega, reg.material, reg.bg, surface)
+        except DomainError:
+            raise DomainError(
+                f"out: the image plane nearest the midpoint of {_nm(r1)} "
+                f"and {_nm(r2)} does not keep both points on the "
+                f"background side, so the pair has no image term") from None
+        return scat_far + image
     return GreenModel("out", scat, reg.bg)
 
 
 def _nm(r):
     return "({:.4g}, {:.4g}) nm".format(*(np.asarray(r, dtype=float) * 1e9))
-
-
-def born_green_model(reg: RegularizedField) -> GreenModel:
-    """Far variant plus the first-order scattering correction (the
-    perturbative alternative to the quasi-static image term)."""
-    far = far_green_model(reg)
-
-    def scat(r1, r2, omega):
-        return far.scattered(r1, r2, omega) + green_back_1(
-            reg.geometry, reg.material, reg.bg, omega, r1, r2)
-    return GreenModel("far+born", scat, reg.bg)
 
 
 def se_from_scattered(scat_nn, omega, bg: Background):

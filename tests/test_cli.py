@@ -37,7 +37,6 @@ def _coarse_config(tmp_path, **overrides):
                           "orientation": [0, 1]},
         "propagator": {"source_standoff": "50 nm",
                        "distances": ["100 nm", "300 nm"]},
-        "variants": ["f", "far"],
         "oracle": {"enabled": False},
     }
     data.update(overrides)
@@ -92,6 +91,14 @@ def test_unknown_keys_rejected(tmp_path):
                                               key: value})
         with pytest.raises(ConfigError, match=key):
             RunConfig.load(path)
+    # no key selects Green models: every run writes f, far and out, and a
+    # config that names them is refused before any output
+    path = _coarse_config(tmp_path, variants=["f", "far", "out", "far+born"])
+    with pytest.raises(ConfigError, match="variants"):
+        RunConfig.load(path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_section_rejected(tmp_path):
@@ -130,9 +137,9 @@ def test_full_pipeline_and_reproducibility(tmp_path):
     report = json.loads((out1 / "report.json").read_text())
     assert report["quality_factor"] > 1
     assert report["v_eff_m2"] > 0
-    # spectrum rows carry every requested variant
+    # spectrum rows carry every Green model
     header = (out1 / "spectrum.csv").read_text().splitlines()[0]
-    assert header == "omega_thz,f_a_f,f_a_far"
+    assert header == "omega_thz,f_a_f,f_a_far,f_a_out"
 
 
 def test_running_mode_volume_ends_at_the_reported_one(tmp_path):
@@ -586,7 +593,6 @@ def _golden_config(tmp_path):
         tmp_path,
         pole_search={"guess": {"real": "293 THz", "imag": "-31 THz"},
                      "symmetry": "xy"},
-        variants=["f", "far", "out", "far+born"],
         oracle={"enabled": True, "spectrum_stride": 2,
                 "scan_checkpoints": [0, 1]},
         dipoles=[{"position": ["0 nm", "180 nm"], "orientation": [0, 1]}],
@@ -789,9 +795,9 @@ def test_oracle_runs_only_at_the_stride_and_the_checkpoints(tmp_path,
                 "scan_checkpoints": [1]}))
     out = _run(cfg, tmp_path / "out")
     header, spectrum = _read_csv(out / "spectrum.csv")
-    assert header == "omega_thz,f_a_f,f_a_far,f_a_oracle"
+    assert header == "omega_thz,f_a_f,f_a_far,f_a_out,f_a_oracle"
     header, scan = _read_csv(out / "distance.csv")
-    assert header == "standoff_nm,f_a_f,f_a_far,f_a_oracle"
+    assert header == "standoff_nm,f_a_f,f_a_far,f_a_out,f_a_oracle"
     r_a, n_a = cfg.dipoles[0]
     omega = 2 * np.pi * 1e12
     assert [c[:2] for c in calls] == [(r_a, n_a)] * 3 + [
@@ -801,8 +807,8 @@ def test_oracle_runs_only_at_the_stride_and_the_checkpoints(tmp_path,
     np.testing.assert_array_equal(spectrum[:, -1],
                                   [42.0, np.nan, 42.0, np.nan, 42.0])
     np.testing.assert_array_equal(scan[:, -1], [np.nan, 42.0, np.nan])
-    assert np.all(np.isfinite(spectrum[:, 1:3]))
-    assert np.all(np.isfinite(scan[:, 1:3]))
+    assert np.all(np.isfinite(spectrum[:, 1:-1]))
+    assert np.all(np.isfinite(scan[:, 1:-1]))
 
 
 @pytest.mark.parametrize("distance_csv", [
@@ -964,18 +970,6 @@ def test_validate_reads_both_values_from_the_scan(tmp_path, monkeypatch):
     assert [c["far_model"] for c in checks.values()] == list(far[1:])
     assert [c["oracle"] for c in checks.values()] == [42.0, 42.0]
     assert list(checks) == ["standoff_150nm", "standoff_250nm"]
-
-
-def test_oracle_needs_the_far_variant(tmp_path):
-    # validate compares the far column with the oracle: without it the
-    # config is refused before anything runs
-    path = _coarse_config(tmp_path, variants=["f"],
-                          oracle={"enabled": True, "scan_checkpoints": [0]})
-    with pytest.raises(ConfigError, match="far"):
-        RunConfig.load(path)
-    assert main(["find", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
 
 
 def test_find_starts_fresh_and_reports_pole_search(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from qnmlab import dyson
 from qnmlab.background import green_b_2d, im_green_b_diag
 from qnmlab.core import ConstantMaterial, DomainError, interior_fraction
-from qnmlab.dyson import RegularizedField, green_back_1, lorentzian_prefactor
+from qnmlab.dyson import RegularizedField, lorentzian_prefactor
 from qnmlab.observables import (
     far_green_model,
     mode_green_model,
@@ -241,21 +241,6 @@ def test_green_out_zero_contrast_is_background(rod_pipeline):
     out = out_green_model(reg0).full(r1, r2, omega)
     gb = green_b_2d(np.array(r1), np.array(r2), omega, p["bg"])
     assert np.array_equal(out, gb)
-
-
-def test_green_back_1_zero_contrast_and_symmetry(rod_pipeline):
-    p = rod_pipeline
-    omega = _omega_c(p)
-    rod, bg = p["rod"], p["bg"]
-    flat = ConstantMaterial(bg.eps_b)
-    z = green_back_1(rod, flat, bg, omega, (20e-9, 0), (40e-9, 10e-9))
-    assert np.all(z == 0)
-    mat = p["material"]
-    a = green_back_1(rod, mat, bg, omega, (20e-9, 0), (40e-9, 10e-9))
-    b = green_back_1(rod, mat, bg, omega, (40e-9, 10e-9), (20e-9, 0))
-    assert np.allclose(a, b.T, rtol=1e-10)
-    with pytest.raises(DomainError):
-        green_back_1(rod, mat, bg, omega, (0, 0), (40e-9, 10e-9))
 
 
 def test_asymptotic_amplitude_tracks_background_column(reg, rod_pipeline):
